@@ -16,6 +16,9 @@ specifications they replaced:
   overhead across the batch.
 * The plan's execution paths (single-gather vs per-coefficient-group
   translate) on either side of the dispatch threshold.
+* The RS↔MSR conversion (:class:`FusionTransformer`) at ~1 MB blocks,
+  as a fraction of RS encode throughput on the same user bytes — how
+  much of the kernel speed the conversion keeps.
 
 Each sized entry also discloses which kernel backend the plan's
 crossover heuristic selected at that block size (``backend`` key), so
@@ -23,6 +26,9 @@ baseline drift can be attributed to a selection change vs a kernel
 regression.
 
 Every timed pair is also checked byte-identical before it is reported.
+The baseline envelope carries a host ``fingerprint``, including the
+native kernel's compiled vector tier (``gfni512`` or ``v16``), since the
+tier alone moves every native-backed ratio.
 
 The structured results land in ``BENCH_kernels.json`` at the repo root
 (via the ``save_result`` fixture); CI's non-blocking perf-smoke job
@@ -33,13 +39,17 @@ independent, unlike raw throughput — against the committed baseline at
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 
 import numpy as np
 
 from repro.codes import MSRCode, ReedSolomonCode
 from repro.experiments import format_table
-from repro.gf import CodingPlan, apply_to_blocks_naive
+from repro.fusion import FusionTransformer
+from repro.gf import CodingPlan, apply_to_blocks_naive, available_backends
+from repro.gf.native import tier
 
 #: (label, per-node block bytes) — must be multiples of l = r² = 16
 REPAIR_BLOCK_SIZES = [
@@ -50,6 +60,30 @@ REPAIR_BLOCK_SIZES = [
     ("1MB", 1 << 20),
     ("4MB", 1 << 22),
 ]
+
+
+def _fingerprint() -> dict:
+    """Host and toolchain, with the native kernel tier the numbers ran on."""
+    model = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next(
+                (l.split(":", 1)[1].strip() for l in fh if l.startswith("model name")), ""
+            )
+    except OSError:
+        pass
+    return {
+        "cores": os.cpu_count(),
+        "cpu_model": model or platform.processor(),
+        "gf_backends": list(available_backends()),
+        "native_tier": tier(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+
+
+def _result(entries: list[dict]) -> dict:
+    return {"entries": entries, "fingerprint": _fingerprint()}
 
 
 def _best_of(fn, repeats: int = 5, min_time: float = 0.02) -> float:
@@ -118,7 +152,7 @@ def test_msr_repair_fused_vs_naive(save_result):
         rows,
         title="MSR(8,4) single-node repair — fused plan vs plane-looped reference",
     )
-    save_result("kernels_msr_repair", text, data={"entries": entries})
+    save_result("kernels_msr_repair", text, data=_result(entries))
     by_label = {e["name"]: e["speedup"] for e in entries}
     assert by_label["msr_repair.256B"] > 5.0 or by_label["msr_repair.1KB"] > 5.0, (
         f"small-block fused repair under 5x: {by_label}"
@@ -164,7 +198,7 @@ def test_rs_encode_plan_vs_naive(save_result):
         rows,
         title="RS(8,3) parity encode — CodingPlan vs naive triple loop",
     )
-    save_result("kernels_rs_encode", text, data={"entries": entries})
+    save_result("kernels_rs_encode", text, data=_result(entries))
     assert all(e["speedup"] > 1.0 for e in entries)
 
 
@@ -246,7 +280,7 @@ def test_batched_stripes_vs_loop(save_result):
         rows,
         title="Stripe-batched dispatch vs per-stripe loop",
     )
-    save_result("kernels_batch", text, data={"entries": entries})
+    save_result("kernels_batch", text, data=_result(entries))
     assert all(e["speedup"] > 1.0 for e in entries), entries
 
 
@@ -276,4 +310,54 @@ def test_plan_dispatch_paths(save_result):
         rows,
         title="CodingPlan dispatch — gathered (small) vs grouped-translate (large)",
     )
-    save_result("kernels", text, data={"entries": entries})
+    save_result("kernels", text, data=_result(entries))
+
+
+def test_conversion_vs_rs_encode(save_result):
+    """RS↔MSR conversion throughput against RS encode on the same stripe.
+
+    EC-Fusion(8, 3): user bytes (k blocks) per second through
+    ``rs_to_msr`` / ``msr_to_rs``, over RS(8, 3) encode of the same data.
+    Blocks are the largest multiple of the MSR sub-packetization (l = 9)
+    not above 1 MiB.
+    """
+    tr = FusionTransformer(k=8, r=3)
+    l = tr.subpacketization
+    block = (1 << 20) // l * l
+    rng = np.random.default_rng(6)
+    data = rng.integers(0, 256, (tr.k, block), dtype=np.uint8)
+    coded = tr.rs.encode(data)
+    parity = coded[tr.k :]
+    groups = tr.rs_to_msr(data, parity).groups
+    msr_parities = [np.ascontiguousarray(g[tr.r :]) for g in groups]
+    assert np.array_equal(tr.msr_to_rs(msr_parities).parity, parity)
+
+    t_encode = _best_of(lambda: tr.rs.encode(data))
+    timed = {
+        "rs_to_msr": _best_of(lambda: tr.rs_to_msr(data, parity)),
+        "msr_to_rs": _best_of(lambda: tr.msr_to_rs(msr_parities)),
+    }
+    encode_mbps = data.nbytes / t_encode / 1e6
+    rows, entries = [], []
+    for direction, t in timed.items():
+        mbps = data.nbytes / t / 1e6
+        fraction = mbps / encode_mbps
+        rows.append([direction, t * 1e6, mbps, encode_mbps, fraction])
+        entries.append(
+            {
+                "name": f"codec.{direction}.1MB",
+                "block_bytes": block,
+                "convert_us": t * 1e6,
+                "throughput_mb_s": mbps,
+                "rs_encode_mb_s": encode_mbps,
+                "fraction_of_rs_encode": fraction,
+                "compare": {"fraction_of_rs_encode": fraction},
+            }
+        )
+    text = format_table(
+        ["conversion", "us", "MB/s", "RS encode MB/s", "fraction"],
+        rows,
+        title="EC-Fusion(8,3) conversion vs RS(8,3) encode — user bytes, ~1 MB blocks",
+    )
+    save_result("kernels_conversion", text, data=_result(entries))
+    assert all(e["fraction_of_rs_encode"] > 0.05 for e in entries), entries

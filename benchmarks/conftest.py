@@ -32,13 +32,14 @@ BENCH_RESULT_SCHEMA = "repro.bench-result/v1"
 BASELINE_ROOTS = ("kernels", "campaign", "serving", "durability", "tournament")
 
 
-def _update_baseline(root: str, entries: list[dict]) -> None:
+def _update_baseline(root: str, entries: list[dict], fingerprint: dict | None = None) -> None:
     """Merge ``entries`` (keyed by entry name) into ``BENCH_{root}.json``.
 
     Merging instead of overwriting lets the several ``bench_{root}*``
     tests each contribute their rows to one committed baseline file, in
     any order, and keeps the file byte-stable across reruns that produce
-    the same numbers.
+    the same numbers.  A ``fingerprint`` (the host the numbers ran on)
+    is stamped into the envelope.
     """
     path = REPO_ROOT / f"BENCH_{root}.json"
     merged: dict[str, dict] = {}
@@ -55,6 +56,8 @@ def _update_baseline(root: str, entries: list[dict]) -> None:
         "name": root,
         "entries": [merged[name] for name in sorted(merged)],
     }
+    if fingerprint:
+        envelope["fingerprint"] = fingerprint
     path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
 
 
@@ -86,7 +89,7 @@ def save_result():
         )
         root = name.split("_", 1)[0]
         if root in BASELINE_ROOTS and isinstance(data, dict) and "entries" in data:
-            _update_baseline(root, data["entries"])
+            _update_baseline(root, data["entries"], data.get("fingerprint"))
         print(f"\n{text}\n")
 
     return _save

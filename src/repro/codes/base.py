@@ -271,8 +271,9 @@ class LinearVectorCode(ErasureCode):
         data = self._check_data(data)
         l = self.subpacketization
         syms = self._to_symbols(data)
-        parity_syms = self._parity_plan.apply(syms)
-        out = np.concatenate([syms, parity_syms], axis=0)
+        out = np.empty((self.n * l, syms.shape[1]), dtype=syms.dtype)
+        out[: self.k * l] = syms
+        self._parity_plan.apply_into(syms, out[self.k * l :])
         if METRICS.enabled:
             key = self.telemetry_key
             METRICS.counter(f"codes.{key}.encode_calls", unit="calls").inc()

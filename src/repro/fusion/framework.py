@@ -132,9 +132,7 @@ class ECFusion:
         if kind is CodeKind.RS:
             self._stripes[stripe] = StripeStore(kind=kind, rs_blocks=self.rs.encode(data))
         else:
-            groups = [
-                self.msr.encode(g) for g in self.transformer._pad_groups(data)
-            ]
+            groups = list(self.transformer._encode_msr(data))
             self._stripes[stripe] = StripeStore(kind=kind, msr_groups=groups)
         return conversions
 
@@ -315,9 +313,12 @@ class ECFusion:
         parities = [g[self.r :] for g in store.msr_groups]
         result = self.transformer.msr_to_rs(parities)
         self._accumulate(result.cost)
-        data = np.concatenate([g[: self.r] for g in store.msr_groups], axis=0)[: self.k]
+        blocks = np.empty((self.k + self.r, result.parity.shape[1]), dtype=np.uint8)
+        for b in range(self.k):
+            blocks[b] = store.msr_groups[b // self.r][b % self.r]
+        blocks[self.k :] = result.parity
         store.kind = CodeKind.RS
-        store.rs_blocks = np.concatenate([data, result.parity], axis=0)
+        store.rs_blocks = blocks
         store.msr_groups = None
 
     # -- lifecycle ---------------------------------------------------------------------

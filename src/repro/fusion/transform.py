@@ -50,7 +50,7 @@ from ..codes import (
     MSRCode,
     ReedSolomonCode,
 )
-from ..gf import CodingPlan, cauchy, inverse, matmul
+from ..gf import CodingPlan, apply_to_blocks, cauchy, inverse, matmul
 from ..telemetry import METRICS
 
 __all__ = [
@@ -178,11 +178,25 @@ class FusionTransformer:
         self.trans2 = [
             matmul(enc, np.kron(binv, eye_l), w=w) for binv in self._group_blocks_inv
         ]
-        # Conversions re-apply the same matrices stripe after stripe —
-        # compile each once so the hot path is pure fused-kernel execution.
-        self._group_plans = [CodingPlan(b, w=w) for b in self.group_blocks]
-        self._trans1_plans = [CodingPlan(t, w=w) for t in self.trans1]
-        self._trans2_plans = [CodingPlan(t, w=w) for t in self.trans2]
+        # Conversions execute the sparse factors of Trans1/Trans2, never the
+        # dense products (405 against 225 nonzeros at r = 3), each compiled
+        # once: Enc and Enc⁻¹ per group, the RS parity rows [B_0|…|B_{q−1}]
+        # to merge groups, and eq. (3) solved for one unread group j —
+        # d_j = B_j⁻¹·p ⊕ Σ_{i≠j} B_j⁻¹B_i·d_i.  Since Trans2_i·(B_i ⊗ I) =
+        # Enc and (B_i⁻¹ ⊗ I)·Trans1_i = Enc⁻¹, every output is
+        # byte-identical to applying eqs. (6)/(7) as written.
+        self._enc_plan = CodingPlan(enc, w=w)
+        self._dec_plan = CodingPlan(enc_inv, w=w)
+        self._merge_plan = CodingPlan(p_full, w=w)
+        #: _derive_plans[j][i] is B_j⁻¹·B_i for i ≠ j and B_j⁻¹ (applied to
+        #: the RS parities) for i = j
+        self._derive_plans = [
+            [
+                CodingPlan(binv if i == j else matmul(binv, b, w=w), w=w)
+                for i, b in enumerate(self.group_blocks)
+            ]
+            for j, binv in enumerate(self._group_blocks_inv)
+        ]
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -205,6 +219,12 @@ class FusionTransformer:
             data = np.concatenate([data, pad], axis=0)
         return [data[i * self.r : (i + 1) * self.r] for i in range(self.q)]
 
+    def _copy_group(self, data: np.ndarray, i: int, dst: np.ndarray) -> None:
+        """Copy data group i into the (r, L) ``dst``, zero-padding virtual nodes."""
+        rows = data[i * self.r : (i + 1) * self.r]
+        dst[: len(rows)] = rows
+        dst[len(rows) :] = 0
+
     def _syms(self, blocks: np.ndarray) -> np.ndarray:
         l = self.subpacketization
         rows, L = blocks.shape
@@ -214,6 +234,32 @@ class FusionTransformer:
         total, sub = syms.shape
         return syms.reshape(rows, (total // rows) * sub)
 
+    def _group_stripes(self, data: np.ndarray) -> np.ndarray:
+        """A (q, 2r, L) MSR stripe array with every group's data rows filled.
+
+        The parity rows are left for :meth:`_encode_group` to write.
+        """
+        out = np.empty((self.q, 2 * self.r, data.shape[1]), dtype=np.uint8)
+        for i in range(self.q):
+            self._copy_group(data, i, out[i, : self.r])
+        return out
+
+    def _encode_group(self, out: np.ndarray, i: int, data: np.ndarray | None = None) -> None:
+        """Group i's MSR parities ``Enc·d_i`` into ``out[i, r:]``.
+
+        ``d_i`` is the group's own data rows in ``out`` unless ``data``
+        gives it.
+        """
+        src = out[i, : self.r] if data is None else data
+        self._enc_plan.apply_into(self._syms(src), self._syms(out[i, self.r :]))
+
+    def _encode_msr(self, data: np.ndarray) -> np.ndarray:
+        """Encode (k, L) data straight into q MSR(2r, r) stripes, (q, 2r, L)."""
+        out = self._group_stripes(data)
+        for i in range(self.q):
+            self._encode_group(out, i)
+        return out
+
     # ---------------------------------------------------------------- eq. (3)
     def intermediary_parities(self, data: np.ndarray) -> np.ndarray:
         """All q intermediary parity sets p′_i, shape (q, r, L)."""
@@ -222,7 +268,7 @@ class FusionTransformer:
             raise ValueError(f"expected {self.k} data blocks, got {data.shape[0]}")
         groups = self._pad_groups(data)
         return np.stack(
-            [plan.apply(g) for plan, g in zip(self._group_plans, groups)]
+            [apply_to_blocks(b, g, w=self._w) for b, g in zip(self.group_blocks, groups)]
         )
 
     # ------------------------------------------------------------- conversions
@@ -269,7 +315,6 @@ class FusionTransformer:
         self._check_block_len(L)
         if rs_parity.shape != (self.r, L):
             raise ValueError(f"rs_parity must be ({self.r}, {L}), got {rs_parity.shape}")
-        groups = self._pad_groups(data)
         cost = TransformCost()
 
         parity_ok = self._read_source(fault_hook, "parity", -1)
@@ -295,172 +340,32 @@ class FusionTransformer:
                 f"(parity_ok={parity_ok}, missing groups {sorted(set(missing))})"
             )
 
-        inter: list[np.ndarray | None] = [None] * self.q
+        # The unread group's data rows are materialised from the caller's
+        # copy (in the real system those blocks stay where they are).
+        out = self._group_stripes(data)
         for i in needed:
-            p_i = self._group_plans[i].apply(groups[i])
-            inter[i] = p_i
+            self._encode_group(out, i)
             cost.data_blocks_read += self.r
             cost.gf_ops += self.r * self.r * L
         if derived is not None:
-            # eq. (3): the one unread group's p′ = p ⊕ all other p′ sets
-            acc = rs_parity.copy()
+            # eq. (3) solved for the unread group's data, then Enc (eq. (7))
+            plans = self._derive_plans[derived]
+            d_j = plans[derived].apply(rs_parity)
             for i in needed:
-                np.bitwise_xor(acc, inter[i], out=acc)
-            inter[derived] = acc
-
-        out_groups = []
+                plans[i].apply_into(out[i, : self.r], d_j, accumulate=True)
+            self._encode_group(out, derived, d_j)
         for i in range(self.q):
-            p_syms = self._syms(inter[i])
-            msr_par = self._blocks(self._trans2_plans[i].apply(p_syms), self.r)
             cost.gf_ops += self.trans2[i].size * (L / self.subpacketization)
             cost.blocks_written += self.r
-            # Group q's data was derived, not read; materialise it for the
-            # caller (in the real system those blocks stay where they are).
-            if i == self.q - 1 and self.padding == 0:
-                grp_data = groups[i]
-            else:
-                grp_data = groups[i]
-            out_groups.append(np.concatenate([grp_data, msr_par], axis=0))
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; the intermediary
             # highway derives the last group's p' from the RS parities instead
-            saved = (self.k - cost.data_blocks_read) * L
+            # (nothing is saved when the parity failover reads every group)
+            saved = max(self.k - cost.data_blocks_read, 0) * L
             METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc()
             METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(saved)
-        return RsToMsrResult(groups=out_groups, cost=cost)
-
-    def rs_to_msr_batch(
-        self, data: np.ndarray, rs_parity: np.ndarray
-    ) -> list[RsToMsrResult]:
-        """Fault-free RS→MSR conversion for a ``(batch, k, L)`` stripe stack.
-
-        A conversion sweep applies the same group and Trans2 plans to every
-        stripe, so the whole batch goes through each plan's
-        :meth:`~repro.gf.CodingPlan.apply_batch` fast path in one dispatch
-        per plan.  No fault hook — injected faults make control flow
-        diverge per stripe, which is exactly the scalar :meth:`rs_to_msr`
-        path.  Per-stripe results, costs, and telemetry totals are
-        byte-identical to calling :meth:`rs_to_msr` in a loop (the wall
-        timer aside, which ticks once per batch here).
-        """
-        data = np.ascontiguousarray(data, dtype=np.uint8)
-        rs_parity = np.ascontiguousarray(rs_parity, dtype=np.uint8)
-        if data.ndim != 3 or data.shape[1] != self.k:
-            raise ValueError(
-                f"data must be (batch, {self.k}, L) stacks, got {data.shape}"
-            )
-        batch, _, L = data.shape
-        self._check_block_len(L)
-        if rs_parity.shape != (batch, self.r, L):
-            raise ValueError(
-                f"rs_parity must be ({batch}, {self.r}, {L}), got {rs_parity.shape}"
-            )
-        with METRICS.timer("fusion.transform.wall.rs_to_msr", unit="s"):
-            return self._rs_to_msr_batch(data, rs_parity)
-
-    def _rs_to_msr_batch(
-        self, data: np.ndarray, rs_parity: np.ndarray
-    ) -> list[RsToMsrResult]:
-        batch, _, L = data.shape
-        l = self.subpacketization
-        if self.padding:
-            pad = np.zeros((batch, self.padding, L), dtype=np.uint8)
-            data = np.concatenate([data, pad], axis=1)
-        groups = [
-            np.ascontiguousarray(data[:, i * self.r : (i + 1) * self.r])
-            for i in range(self.q)
-        ]
-
-        inter: list[np.ndarray | None] = [None] * self.q
-        gf_ops = 0.0
-        for i in range(self.q - 1):
-            inter[i] = self._group_plans[i].apply_batch(groups[i])
-            gf_ops += self.r * self.r * L
-        acc = rs_parity.copy()
-        for i in range(self.q - 1):
-            np.bitwise_xor(acc, inter[i], out=acc)
-        inter[self.q - 1] = acc
-
-        parities = []
-        for i in range(self.q):
-            p_syms = inter[i].reshape(batch, self.r * l, L // l)
-            msr_syms = self._trans2_plans[i].apply_batch(p_syms)
-            parities.append(msr_syms.reshape(batch, self.r, L))
-            gf_ops += self.trans2[i].size * (L / l)
-
-        results = []
-        for b in range(batch):
-            cost = TransformCost(
-                data_blocks_read=(self.q - 1) * self.r,
-                parity_blocks_read=self.r,
-                blocks_written=self.q * self.r,
-                gf_ops=gf_ops,
-            )
-            out_groups = [
-                np.concatenate([groups[i][b], parities[i][b]], axis=0)
-                for i in range(self.q)
-            ]
-            results.append(RsToMsrResult(groups=out_groups, cost=cost))
-        if METRICS.enabled and batch:
-            saved = (self.k - (self.q - 1) * self.r) * L
-            METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc(batch)
-            METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(batch * gf_ops)
-            METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
-                batch * saved
-            )
-        return results
-
-    def msr_to_rs_batch(self, msr_parities: list[np.ndarray]) -> list[MsrToRsResult]:
-        """Fault-free MSR→RS merge for batched parity groups.
-
-        ``msr_parities`` holds ``q`` stacks of shape ``(batch, r, L)`` —
-        group ``i``'s MSR parities for every stripe in the sweep.  Each
-        Trans1 plan batch-applies once; results, costs, and telemetry
-        totals match a loop over :meth:`msr_to_rs` byte for byte.
-        """
-        if len(msr_parities) != self.q:
-            raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
-        pars = [np.ascontiguousarray(p, dtype=np.uint8) for p in msr_parities]
-        shapes = {p.shape for p in pars}
-        if len(shapes) != 1 or pars[0].ndim != 3 or pars[0].shape[1] != self.r:
-            raise ValueError(
-                f"parity groups must share one (batch, {self.r}, L) shape, "
-                f"got {sorted(shapes)}"
-            )
-        batch, _, L = pars[0].shape
-        self._check_block_len(L)
-        with METRICS.timer("fusion.transform.wall.msr_to_rs", unit="s"):
-            l = self.subpacketization
-            acc = np.zeros((batch, self.r, L), dtype=np.uint8)
-            gf_ops = 0.0
-            for i, par in enumerate(pars):
-                p_syms = self._trans1_plans[i].apply_batch(
-                    par.reshape(batch, self.r * l, L // l)
-                )
-                np.bitwise_xor(acc, p_syms.reshape(batch, self.r, L), out=acc)
-                gf_ops += self.trans1[i].size * (L / l)
-            if METRICS.enabled and batch:
-                METRICS.counter(
-                    "fusion.transform.msr_to_rs", unit="conversions"
-                ).inc(batch)
-                METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(
-                    batch * gf_ops
-                )
-                METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(
-                    batch * self.k * L
-                )
-            return [
-                MsrToRsResult(
-                    parity=acc[b],
-                    cost=TransformCost(
-                        parity_blocks_read=self.q * self.r,
-                        blocks_written=self.r,
-                        gf_ops=gf_ops,
-                    ),
-                )
-                for b in range(batch)
-            ]
+        return RsToMsrResult(groups=list(out), cost=cost)
 
     def msr_to_rs(
         self,
@@ -494,26 +399,26 @@ class FusionTransformer:
             raise ValueError(f"expected {self.q} parity groups, got {len(msr_parities)}")
         L = np.asarray(msr_parities[0]).shape[1]
         self._check_block_len(L)
-        data_groups = None
         if data is not None:
             data = np.ascontiguousarray(data, dtype=np.uint8)
             if data.shape != (self.k, L):
                 raise ValueError(f"data must be ({self.k}, {L}), got {data.shape}")
-            data_groups = self._pad_groups(data)
         cost = TransformCost()
-        acc = np.zeros((self.r, L), dtype=np.uint8)
+        # every group's data d_i, stacked for one merge p = Σ B_i·d_i (eq. (3))
+        stacked = np.empty((self.q * self.r, L), dtype=np.uint8)
         for i, par in enumerate(msr_parities):
             par = np.ascontiguousarray(par, dtype=np.uint8)
             if par.shape != (self.r, L):
                 raise ValueError(f"group {i} parity must be ({self.r}, {L})")
+            d_i = stacked[i * self.r : (i + 1) * self.r]
             if self._read_source(fault_hook, "parity", i):
-                p_syms = self._trans1_plans[i].apply(self._syms(par))
-                p_i = self._blocks(p_syms, self.r)
+                # d_i = Enc⁻¹·par_i, as Trans1_i = (B_i ⊗ I)·Enc⁻¹ (eq. (6))
+                self._dec_plan.apply_into(self._syms(par), self._syms(d_i))
                 cost.parity_blocks_read += self.r
                 cost.gf_ops += self.trans1[i].size * (L / self.subpacketization)
-            elif data_groups is not None and self._read_source(fault_hook, "data", i):
-                # failover: recompute p′_i = B_i·d_i from the group's data
-                p_i = self._group_plans[i].apply(data_groups[i])
+            elif data is not None and self._read_source(fault_hook, "data", i):
+                # failover: the group's own data blocks
+                self._copy_group(data, i, d_i)
                 cost.data_blocks_read += self.r
                 cost.gf_ops += self.r * self.r * L
             else:
@@ -521,7 +426,7 @@ class FusionTransformer:
                     f"msr_to_rs: group {i} parities lost and no readable data "
                     f"failover"
                 )
-            np.bitwise_xor(acc, p_i, out=acc)
+        parity = self._merge_plan.apply(stacked)
         cost.blocks_written = self.r
         if METRICS.enabled:
             # naive re-encode would read all k data blocks; Trans1 works from
@@ -529,7 +434,7 @@ class FusionTransformer:
             METRICS.counter("fusion.transform.msr_to_rs", unit="conversions").inc()
             METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(self.k * L)
-        return MsrToRsResult(parity=acc, cost=cost)
+        return MsrToRsResult(parity=parity, cost=cost)
 
     # -------------------------------------------------------------- validation
     def verify_roundtrip(self, rng: np.random.Generator, L: int | None = None) -> bool:
@@ -617,9 +522,6 @@ class MultiCodeConverter:
         self.lrc = LocalReconstructionCode(k, lrc_r, lrc_z, w=w)
         fr_n = fr_nodes if fr_nodes is not None else fr_rho * k + 1
         self.fr = FractionalRepetitionCode(k, fr_n - k, rho=fr_rho, w=w)
-        self._group_inv_plans = [
-            CodingPlan(binv, w=w) for binv in self.tr._group_blocks_inv
-        ]
         #: conversion journal: ("begin"|"commit"|"abort", source, target)
         self.journal: list[tuple[str, str, str]] = []
 
@@ -652,14 +554,8 @@ class MultiCodeConverter:
         if code == "rs":
             return self.rs.encode(data)[self.k :]
         if code == "msr":
-            inter = self.tr.intermediary_parities(data)
-            groups = [
-                self.tr._blocks(
-                    self.tr._trans2_plans[i].apply(self.tr._syms(inter[i])), self.r
-                )
-                for i in range(self.q)
-            ]
-            return np.concatenate(groups, axis=0)
+            stripes = self.tr._encode_msr(data)
+            return stripes[:, self.r :].reshape(self.q * self.r, data.shape[1])
         if code == "lrc":
             return self.lrc.encode(data)[self.k :]
         if code == "fr":
@@ -787,7 +683,7 @@ class MultiCodeConverter:
         fault_hook,
         cost: TransformCost,
     ) -> np.ndarray:
-        """MSR source: a group's data is B_i⁻¹·Trans1_i(its own parities)."""
+        """MSR source: a group's data is B_i⁻¹·Trans1_i = Enc⁻¹ of its parities."""
         r, k, L = self.r, self.k, stripe.data.shape[1]
         data = stripe.data.copy()
         for g in missing:
@@ -796,9 +692,7 @@ class MultiCodeConverter:
                     f"msr re-encode: group {g} data and parities both lost"
                 )
             par = stripe.parity[g * r : (g + 1) * r]
-            p_syms = self.tr._trans1_plans[g].apply(self.tr._syms(par))
-            p_i = self.tr._blocks(p_syms, r)
-            grp = self._group_inv_plans[g].apply(p_i)  # eq. (4): d_i = B_i⁻¹·p′_i
+            grp = self.tr._blocks(self.tr._dec_plan.apply(self.tr._syms(par)), r)
             for row, node in enumerate(range(g * r, min((g + 1) * r, k))):
                 data[node] = grp[row]
             cost.parity_blocks_read += r

@@ -1,4 +1,4 @@
-"""Runtime-compiled nibble-split GF(2^8) kernel (the ``native`` backend).
+"""Runtime-compiled GF(2^8) kernel (the ``native`` backend).
 
 The fastest way to scale bytes by a GF(2^8) constant on commodity CPUs is
 the classic nibble-split shuffle (Plank et al., *Screaming Fast Galois
@@ -7,12 +7,14 @@ nibbles, look each up in a 16-entry product table held in a vector
 register, XOR the halves.  One 16-lane table shuffle replaces sixteen
 scalar table loads, so a single core sustains multiple GB/s — an order
 of magnitude past what any byte-table path reachable from NumPy or
-``bytes.translate`` can do.
+``bytes.translate`` can do.  CPUs with GFNI and AVX-512BW go further:
+multiplication by a constant is linear over GF(2), so one
+``gf2p8affineqb`` applies a unit's 8×8 bit-matrix to 64 bytes at once.
 
-Python cannot express that shuffle, so this module carries a ~60-line C
-kernel as a string, compiles it **at import of first use** with whatever
-C compiler the host has (``cc``/``gcc``/``clang``), and binds it through
-:mod:`ctypes`.  Three properties make the scheme safe to ship:
+Python cannot express either, so this module carries a small C kernel
+with two vector bodies as a string, compiles it **at import of first
+use** with whatever C compiler the host has (``cc``/``gcc``/``clang``),
+and binds it through :mod:`ctypes`.  Three properties make the scheme safe to ship:
 
 * **Graceful absence.**  No compiler, a failed compile, or a kernel that
   does not byte-match the pure-python reference on a self-test simply
@@ -22,13 +24,17 @@ C compiler the host has (``cc``/``gcc``/``clang``), and binds it through
   runs it, so ``-march=native`` is always legal; without it GCC expands
   ``__builtin_shuffle`` to scalar code and the kernel is no faster than
   ``bytes.translate``.  Flag sets are tried best-first and the build is
-  cached on disk keyed by a hash of (source, flags).
+  cached on disk keyed by a hash of (source, flags).  The vector body is
+  chosen at compile time: ``gfni512`` (64-byte affine multiplies) when
+  the flags define ``__GFNI__`` and ``__AVX512BW__``, else ``v16``
+  (16-byte nibble shuffles); :func:`tier` reports which one was built.
 * **One generic entry point.**  The C side executes a *unit program*:
   one unit per nonzero matrix coefficient, carrying a 32-byte low/high
-  nibble product table plus input/output row indices, sorted by output
-  row.  Any ``CodingPlan`` — encode generator, cached decode solve,
-  fused MSR repair — lowers to the same program shape, so the compiled
-  artifact is shared by every code in the repo.
+  nibble product table, its 8×8 GF(2) bit-matrix and input/output row
+  indices, sorted by output row.  Any ``CodingPlan`` — encode
+  generator, cached decode solve, fused MSR repair — lowers to the same
+  program shape, so the compiled artifact is shared by every code in
+  the repo.
 
 The kernel mutates nothing global and releases no resources at exit;
 the cached ``.so`` under the system temp dir is reused across runs.
@@ -46,20 +52,39 @@ import threading
 
 import numpy as np
 
-__all__ = ["kernel", "native_available", "UnitProgram", "build_unit_program", "run"]
+__all__ = [
+    "kernel",
+    "native_available",
+    "tier",
+    "UnitProgram",
+    "affine_matrices",
+    "build_unit_program",
+    "run",
+]
 
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+#if defined(__GFNI__) && defined(__AVX512BW__)
+#include <immintrin.h>
+#define GF_TIER 1 /* gfni512: one affine instruction per 64 bytes */
+#else
+#define GF_TIER 0 /* v16: 16-byte nibble-split shuffles */
+#endif
+
 typedef uint8_t v16 __attribute__((vector_size(16)));
 
+int gf_kernel_tier(void) { return GF_TIER; }
+
 /* Execute a unit program: each unit XOR-accumulates mul(coeff, in_row)
- * into an output row using 16-entry low/high nibble product tables
- * (32 bytes per unit).  Units must be sorted by output row so each
- * output tile is accumulated in registers and stored once.  Tiled over
- * the block length for cache residency. */
+ * into an output row.  The v16 body uses the unit's 16-entry low/high
+ * nibble product tables (32 bytes per unit); the gfni512 body uses its
+ * 8x8 GF(2) bit-matrix (one uint64 per unit).  Units must be sorted by
+ * output row so each output tile is accumulated in registers and stored
+ * once.  Tiled over the block length for cache residency. */
 void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
+                    const uint64_t *affine,  /* nunits bit-matrices */
                     const int32_t *unit_in,  /* input row per unit */
                     const int32_t *unit_out, /* output row per unit */
                     int32_t nunits,
@@ -69,6 +94,8 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
 {
     const v16 mask = {15,15,15,15,15,15,15,15,15,15,15,15,15,15,15,15};
     const int64_t TILE = 32768;
+    (void)affine;
+    (void)mask;
     for (int64_t t0 = 0; t0 < L; t0 += TILE) {
         int64_t t1 = t0 + TILE < L ? t0 + TILE : L;
         int64_t nv = (t1 - t0) & ~(int64_t)63;   /* 64-byte vector chunks */
@@ -78,6 +105,45 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
             int32_t ue = u;
             while (ue < nunits && unit_out[ue] == row) ue++;
             uint8_t *op = out + (int64_t)row * out_stride + t0;
+#if GF_TIER
+            int64_t t = 0;
+            for (; t + 128 <= nv; t += 128) {
+                __m512i a0, a1;
+                if (accumulate) {
+                    a0 = _mm512_loadu_si512(op + t);
+                    a1 = _mm512_loadu_si512(op + t + 64);
+                } else {
+                    a0 = a1 = _mm512_setzero_si512();
+                }
+                for (int32_t k = u; k < ue; k++) {
+                    const __m512i m = _mm512_set1_epi64((long long)affine[k]);
+                    const uint8_t *ip =
+                        in + (int64_t)unit_in[k] * in_stride + t0 + t;
+                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8affine_epi64_epi8(
+                        _mm512_loadu_si512(ip), m, 0));
+                    a1 = _mm512_xor_si512(a1, _mm512_gf2p8affine_epi64_epi8(
+                        _mm512_loadu_si512(ip + 64), m, 0));
+                }
+                _mm512_storeu_si512(op + t, a0);
+                _mm512_storeu_si512(op + t + 64, a1);
+            }
+            /* one 64-byte vector, then a masked partial vector as the tail */
+            for (; t < t1 - t0; t += 64) {
+                int64_t left = t1 - t0 - t;
+                __mmask64 lm = left >= 64 ? ~(__mmask64)0
+                                          : (((__mmask64)1 << left) - 1);
+                __m512i a0 = accumulate ? _mm512_maskz_loadu_epi8(lm, op + t)
+                                        : _mm512_setzero_si512();
+                for (int32_t k = u; k < ue; k++) {
+                    const uint8_t *ip =
+                        in + (int64_t)unit_in[k] * in_stride + t0 + t;
+                    a0 = _mm512_xor_si512(a0, _mm512_gf2p8affine_epi64_epi8(
+                        _mm512_maskz_loadu_epi8(lm, ip),
+                        _mm512_set1_epi64((long long)affine[k]), 0));
+                }
+                _mm512_mask_storeu_epi8(op + t, lm, a0);
+            }
+#else
             for (int64_t t = 0; t < nv; t += 64) {
                 v16 a0, a1, a2, a3;
                 if (accumulate) {
@@ -118,6 +184,7 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
                 }
                 op[t] = acc;
             }
+#endif
             u = ue;
         }
     }
@@ -126,7 +193,8 @@ void gf_apply_units(const uint8_t *tables,   /* nunits * 32 */
 
 #: tried best-first; ``-march=native`` is what makes ``__builtin_shuffle``
 #: lower to a vector byte-shuffle instruction (PSHUFB / TBL) rather than
-#: scalar loads — without it the kernel is no faster than the NumPy paths.
+#: scalar loads — without it the kernel is no faster than the NumPy paths —
+#: and what enables the gfni512 body on hosts that have GFNI + AVX-512BW.
 _FLAG_SETS = (
     ("-O3", "-march=native"),
     ("-O3", "-mssse3"),
@@ -135,6 +203,7 @@ _FLAG_SETS = (
 
 _ARGTYPES = [
     ctypes.c_void_p,  # tables
+    ctypes.c_void_p,  # affine
     ctypes.c_void_p,  # unit_in
     ctypes.c_void_p,  # unit_out
     ctypes.c_int32,   # nunits
@@ -150,24 +219,46 @@ _lock = threading.Lock()
 _cached: list = []  # [fn_or_None] once resolved
 
 
+#: the vector body a build carries, by ``gf_kernel_tier()``'s return value
+_TIERS = ("v16", "gfni512")
+
+
 class UnitProgram:
-    """A matrix lowered for :func:`run`: nibble tables + row indices.
+    """A matrix lowered for :func:`run`: per-unit multipliers + row indices.
 
     ``tables`` is ``(nunits, 32)`` uint8 (16 low-nibble then 16
-    high-nibble products per unit); ``unit_in``/``unit_out`` are int32
-    row indices sorted by output row; ``zero_rows`` lists output rows
-    with no unit at all (all-zero matrix rows), which the kernel never
-    touches and the caller must clear when not accumulating.
+    high-nibble products per unit); ``affine`` is ``(nunits,)`` uint64,
+    each unit's bit-matrix (:func:`affine_matrices`);
+    ``unit_in``/``unit_out`` are int32 row indices sorted by output row;
+    ``zero_rows`` lists output rows with no unit at all (all-zero matrix
+    rows), which the kernel never touches and the caller must clear when
+    not accumulating.
     """
 
-    __slots__ = ("tables", "unit_in", "unit_out", "zero_rows", "nunits")
+    __slots__ = ("tables", "affine", "unit_in", "unit_out", "zero_rows", "nunits")
 
-    def __init__(self, tables, unit_in, unit_out, zero_rows):
+    def __init__(self, tables, affine, unit_in, unit_out, zero_rows):
         self.tables = tables
+        self.affine = affine
         self.unit_in = unit_in
         self.unit_out = unit_out
         self.zero_rows = zero_rows
         self.nunits = len(unit_in)
+
+
+def affine_matrices(coeffs: np.ndarray, mul_table: np.ndarray) -> np.ndarray:
+    """Each coefficient's multiplier as a ``gf2p8affineqb`` bit-matrix.
+
+    Multiplying by ``c`` is GF(2)-linear, so bit ``i`` of ``c·x`` is the
+    parity of ``x`` masked by row ``i``, whose bit ``j`` is bit ``i`` of
+    ``c·2^j`` (read from ``mul_table``).  The instruction takes row ``i``
+    from byte ``7 - i`` of a little-endian uint64.
+    """
+    bit = np.arange(8)
+    basis = mul_table[np.asarray(coeffs, np.intp)][:, 1 << bit]  # c·2^j, (n, 8)
+    rows = ((basis[:, None, :] >> bit[None, :, None]) & 1) << bit  # (n, i, j)
+    packed = rows.sum(axis=2).astype(np.uint8)[:, ::-1]  # byte 7-i holds row i
+    return np.ascontiguousarray(packed).view("<u8").reshape(-1)
 
 
 def build_unit_program(
@@ -190,7 +281,9 @@ def build_unit_program(
     covered = np.zeros(n_out, bool)
     covered[outs] = True
     zero_rows = np.nonzero(~covered)[0]
-    return UnitProgram(np.ascontiguousarray(tables), ins, outs, zero_rows)
+    return UnitProgram(
+        np.ascontiguousarray(tables), affine_matrices(cs, mul_table), ins, outs, zero_rows
+    )
 
 
 def _compile(flags: tuple[str, ...], cc: str):
@@ -217,14 +310,16 @@ def _compile(flags: tuple[str, ...], cc: str):
     fn = lib.gf_apply_units
     fn.argtypes = _ARGTYPES
     fn.restype = None
+    fn.tier = _TIERS[lib.gf_kernel_tier()]
     return fn
 
 
 def _self_test(fn) -> bool:
     """Byte-compare the compiled kernel against a pure-python product.
 
-    Uses an odd length so both the 64-byte vector body and the scalar
-    tail execute, and checks both accumulate modes.  A miscompiled or
+    Uses a length past one 32 KiB tile with an odd remainder, so the
+    vector body, a second tile and the partial-vector tail all execute,
+    and checks both accumulate modes.  A miscompiled or
     mis-targeted build is dropped rather than trusted.
     """
     from .arithmetic import GF
@@ -233,7 +328,7 @@ def _self_test(fn) -> bool:
     rng = np.random.default_rng(20260808)
     m = rng.integers(0, 256, (3, 4), dtype=np.uint8)
     m[2, :] = 0  # an all-zero output row the kernel must skip
-    L = 67
+    L = 32768 + 64 * 3 + 7
     blocks = rng.integers(0, 256, (4, L), dtype=np.uint8)
     expect = np.zeros((3, L), np.uint8)
     for i in range(3):
@@ -254,6 +349,7 @@ def run(fn, program: UnitProgram, blocks: np.ndarray, out: np.ndarray, accumulat
     """Invoke the kernel on C-contiguous uint8 ``blocks`` → ``out``."""
     fn(
         program.tables.ctypes.data,
+        program.affine.ctypes.data,
         program.unit_in.ctypes.data,
         program.unit_out.ctypes.data,
         program.nunits,
@@ -298,3 +394,9 @@ def kernel():
 def native_available() -> bool:
     """Whether the runtime-compiled kernel is usable on this host."""
     return kernel() is not None
+
+
+def tier() -> str | None:
+    """The compiled kernel's vector body (``"gfni512"``/``"v16"``), or ``None``."""
+    fn = kernel()
+    return None if fn is None else fn.tier

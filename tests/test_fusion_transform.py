@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fusion import FusionTransformer
-from repro.gf import apply_to_blocks, is_invertible, matmul
+from repro import telemetry
+from repro.fusion import ChunkUnavailable, FusionTransformer, TransformCost
+from repro.gf import apply_to_blocks, apply_to_blocks_naive, is_invertible, matmul
+from repro.telemetry import METRICS
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +179,157 @@ def test_prop_roundtrip_random(seed, kr):
     k, r = kr
     tr = FusionTransformer(k=k, r=r)
     assert tr.verify_roundtrip(np.random.default_rng(seed))
+
+
+# -- the factored lowering against the composed eqs. (3)/(6)/(7) ------------
+
+_TRANSFORMERS: dict = {}
+
+
+def _transformer(k, r):
+    if (k, r) not in _TRANSFORMERS:
+        _TRANSFORMERS[k, r] = FusionTransformer(k=k, r=r)
+    return _TRANSFORMERS[k, r]
+
+
+def _lose(target):
+    def hook(phase, group):
+        if (phase, group) == target:
+            raise ChunkUnavailable(phase, group)
+
+    return hook
+
+
+def _composed_rs_to_msr(tr, data, parity, lost):
+    """Fig. 12(b) as written: p′_i = B_i·d_i, eq. (3) for the unread group,
+    then Trans2_i (eq. (7)) — dense composed matrices, naive kernel."""
+    r, q, l = tr.r, tr.q, tr.subpacketization
+    L = data.shape[1]
+    if lost == ("parity", -1):
+        derived = None
+    elif lost is not None and lost[0] == "data" and lost[1] < q - 1:
+        derived = lost[1]
+    else:
+        derived = q - 1
+    groups = tr._pad_groups(data)
+    inter = [
+        None if i == derived else apply_to_blocks_naive(tr.group_blocks[i], groups[i])
+        for i in range(q)
+    ]
+    if derived is not None:
+        acc = parity.copy()
+        for i in range(q):
+            if i != derived:
+                acc ^= inter[i]
+        inter[derived] = acc
+    out = [
+        np.concatenate(
+            [groups[i], tr._blocks(apply_to_blocks_naive(tr.trans2[i], tr._syms(inter[i])), r)]
+        )
+        for i in range(q)
+    ]
+    read = q - (derived is not None)
+    cost = TransformCost(
+        data_blocks_read=read * r,
+        parity_blocks_read=0 if derived is None else r,
+        blocks_written=q * r,
+    )
+    for _ in range(read):
+        cost.gf_ops += r * r * L
+    for i in range(q):
+        cost.gf_ops += tr.trans2[i].size * (L / l)
+    return out, cost
+
+
+def _composed_msr_to_rs(tr, data, pars, lost):
+    """Fig. 12(a) as written: Trans1_i (eq. (6)) per group, XOR-merged;
+    a group with lost parities uses B_i·d_i from its data."""
+    r, l = tr.r, tr.subpacketization
+    L = data.shape[1]
+    groups = tr._pad_groups(data)
+    acc = np.zeros((r, L), np.uint8)
+    cost = TransformCost(blocks_written=r)
+    for i, par in enumerate(pars):
+        if lost == ("parity", i):
+            acc ^= apply_to_blocks_naive(tr.group_blocks[i], groups[i])
+            cost.data_blocks_read += r
+            cost.gf_ops += r * r * L
+        else:
+            acc ^= tr._blocks(apply_to_blocks_naive(tr.trans1[i], tr._syms(par)), r)
+            cost.parity_blocks_read += r
+            cost.gf_ops += tr.trans1[i].size * (L / l)
+    return acc, cost
+
+
+def _transform_counters():
+    return {
+        name: METRICS.counter(name).value
+        for name in METRICS.names()
+        if name.startswith("fusion.transform.") and ".wall." not in name
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kr=st.sampled_from([(4, 2), (5, 2), (6, 3), (7, 3), (8, 3)]),
+    nsub=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    loss=st.integers(min_value=-1, max_value=3),
+    consistent=st.booleans(),
+)
+def test_prop_factored_conversions_match_composed_reference(kr, nsub, seed, loss, consistent):
+    """Factored rs_to_msr/msr_to_rs are byte-identical to the composed
+    eqs. (3)/(6)/(7) for any input (consistent or not), on the clean path
+    and every single-loss fault-hook failover, with identical
+    TransformCost and fusion.transform.* counters."""
+    k, r = kr
+    tr = _transformer(k, r)
+    rng = np.random.default_rng(seed)
+    L = tr.subpacketization * nsub
+    data = rng.integers(0, 256, (k, L), dtype=np.uint8)
+    parity = rng.integers(0, 256, (r, L), dtype=np.uint8)
+    if consistent:
+        parity = tr.rs.encode(data)[k:]
+    pars = [rng.integers(0, 256, (r, L), dtype=np.uint8) for _ in range(tr.q)]
+    data0, parity0 = data.copy(), parity.copy()
+
+    fwd_lost = None if loss >= tr.q else (("parity", -1) if loss < 0 else ("data", loss))
+    back_lost = None if not 0 <= loss < tr.q else ("parity", loss)
+    expect_groups, expect_fwd_cost = _composed_rs_to_msr(tr, data, parity, fwd_lost)
+    expect_parity, expect_back_cost = _composed_msr_to_rs(tr, data, pars, back_lost)
+
+    telemetry.disable()
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        fwd = tr.rs_to_msr(data, parity, fault_hook=_lose(fwd_lost))
+        fwd_counters = _transform_counters()
+        telemetry.reset()
+        back = tr.msr_to_rs(pars, fault_hook=_lose(back_lost), data=data)
+        back_counters = _transform_counters()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+
+    assert len(fwd.groups) == tr.q
+    for got, want in zip(fwd.groups, expect_groups):
+        assert np.array_equal(got, want)
+    assert fwd.cost == expect_fwd_cost
+    assert fwd_counters == {
+        "fusion.transform.rs_to_msr": 1,
+        "fusion.transform.gf_ops": expect_fwd_cost.gf_ops,
+        "fusion.transform.bytes_saved": max(k - expect_fwd_cost.data_blocks_read, 0) * L,
+    }
+    assert np.array_equal(back.parity, expect_parity)
+    assert back.cost == expect_back_cost
+    assert back_counters == {
+        "fusion.transform.msr_to_rs": 1,
+        "fusion.transform.gf_ops": expect_back_cost.gf_ops,
+        "fusion.transform.bytes_saved": k * L,
+    }
+    # MSR stripes encoded straight from data equal the converted ones
+    if consistent:
+        enc = tr._encode_msr(data)
+        for got, want in zip(enc, expect_groups):
+            assert np.array_equal(got, want)
+    assert np.array_equal(data, data0) and np.array_equal(parity, parity0)
