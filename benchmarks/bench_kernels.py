@@ -62,7 +62,7 @@ REPAIR_BLOCK_SIZES = [
 ]
 
 
-def _fingerprint() -> dict:
+def host_fingerprint() -> dict:
     """Host and toolchain, with the native kernel tier the numbers ran on."""
     model = ""
     try:
@@ -83,7 +83,7 @@ def _fingerprint() -> dict:
 
 
 def _result(entries: list[dict]) -> dict:
-    return {"entries": entries, "fingerprint": _fingerprint()}
+    return {"entries": entries, "fingerprint": host_fingerprint()}
 
 
 def _best_of(fn, repeats: int = 5, min_time: float = 0.02) -> float:

@@ -13,14 +13,22 @@ in CI):
 Structured entries land in ``BENCH_serving.json`` at the repo root via
 ``save_result``; the perf-smoke job diffs the ``compare`` ratios against
 the committed baseline (they only move when serving behaviour changes).
+
+A third entry, ``serving.des``, is the event kernel's ledger line: heap
+events scheduled per offered op at several offered loads (deterministic,
+compared) and wall-µs per op inside ``Simulator.run`` (host-dependent,
+informative only; the envelope carries the host fingerprint).
 """
 
 from __future__ import annotations
 
 import time
 
+from bench_kernels import host_fingerprint
+
 from repro import telemetry
 from repro.chaos import ChaosConfig
+from repro.cluster import Simulator
 from repro.experiments import format_table
 from repro.server import ServerConfig, WorkloadSpec, run_serving
 from repro.telemetry import TRACER
@@ -29,6 +37,8 @@ from repro.telemetry import TRACER
 SLO_S = 0.050
 
 LADDER = (200.0, 400.0, 600.0, 800.0)
+#: offered loads of the event-kernel ledger entry
+DES_LOADS = (200.0, 600.0, 1000.0)
 DURATION = 6.0
 SEED = 21
 
@@ -131,6 +141,69 @@ def test_serving_degraded_under_storm(save_result):
         }
     ]
     save_result("serving_storm", text, data={"entries": entries})
+
+
+def test_serving_des_ledger(save_result, monkeypatch):
+    """Event-kernel cost per served op across offered load.
+
+    ``Simulator.run`` is wrapped to catch the run's simulator and time
+    its event loop.  ``sim._seq`` counts every event ever scheduled, so
+    events per offered op is a pure function of the seeded workload —
+    the compared number — while wall-µs per op is the host-dependent
+    reading the kernel's optimisations aim at.
+    """
+    sim_run = Simulator.run
+    runs = []
+
+    def timed(sim, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return sim_run(sim, *args, **kwargs)
+        finally:
+            runs.append((sim, time.perf_counter() - start))
+
+    monkeypatch.setattr(Simulator, "run", timed)
+    config = ServerConfig()
+    rows = []
+    compare = {}
+    wall_us = {}
+    for target in DES_LOADS:
+        spec = WorkloadSpec(
+            target_ops=target,
+            duration=DURATION,
+            read_fraction=0.95,
+            distribution="zipfian",
+            seed=SEED,
+        )
+        runs.clear()
+        res = run_serving(spec, config)
+        (sim, wall), = runs
+        per_op = sim._seq / res.offered
+        us = wall / res.offered * 1e6
+        rows.append([f"{target:.0f}", res.offered, sim._seq, per_op, us])
+        compare[f"events_per_op_at_{target:.0f}"] = per_op
+        wall_us[f"{target:.0f}"] = us
+    text = format_table(
+        ["offered ops/s", "offered ops", "events", "events/op", "wall us/op"],
+        rows,
+        title=(
+            f"Event-kernel cost per serving op — {config.scheme}, zipfian 95% "
+            f"reads, {DURATION:.0f}s (wall us/op is host-dependent)"
+        ),
+    )
+    entries = [
+        {
+            "name": "serving.des",
+            "loads": list(DES_LOADS),
+            "duration_s": DURATION,
+            "seed": SEED,
+            "wall_us_per_op": wall_us,
+            "compare": compare,
+        }
+    ]
+    save_result(
+        "serving_des", text, data={"entries": entries, "fingerprint": host_fingerprint()}
+    )
 
 
 def test_serving_tracing_overhead(save_result):

@@ -95,10 +95,6 @@ class Event:
         else:
             self.callbacks.append(callback)
 
-    def succeed_cb(self, _fired: "Event") -> None:
-        """Callback adapter: succeed this event when another one fires."""
-        self.succeed()
-
 
 class Simulator:
     """Event heap + clock.
@@ -124,18 +120,25 @@ class Simulator:
         self._seq = 0
         self._pending = 0  # scheduled non-daemon events not yet popped
 
-    def schedule(self, event: Event, delay: float = 0.0, daemon: bool = False) -> Event:
+    def schedule(
+        self, event: Event, delay: float = 0.0, daemon: bool = False, at: float | None = None
+    ) -> Event:
         """Arrange for ``event`` to succeed ``delay`` seconds from now.
 
-        Daemon events fire in time order like any other, but do not keep
+        ``at`` instead names the absolute time, keyed as given.  Daemon
+        events fire in time order like any other, but do not keep
         :meth:`run` going: the loop stops once only daemons remain.
         """
-        if delay < 0:
+        if at is None:
+            if delay < 0:
+                raise ValueError("cannot schedule into the past")
+            at = self.now + delay
+        elif at < self.now:
             raise ValueError("cannot schedule into the past")
         self._seq += 1
         if not daemon:
             self._pending += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, daemon, event))
+        heapq.heappush(self._heap, (at, self._seq, daemon, event))
         if METRICS.enabled:
             METRICS.gauge("sim.heap_depth", unit="events").set(len(self._heap))
         return event
@@ -155,14 +158,15 @@ class Simulator:
             METRICS.gauge("sim.heap_depth", unit="events").set(len(self._heap))
         return event
 
-    def process(self, gen: Generator, daemon: bool = False) -> "Process":
+    def process(self, gen: Generator, daemon: bool = False, at: float | None = None) -> "Process":
         """Start a coroutine process; returns its completion event.
 
-        A daemon process only marks its *kick-off* event as daemon; any
-        events the generator itself schedules choose their own flag (a
-        pure-daemon loop yields ``timeout(..., daemon=True)``).
+        ``at`` starts it at that absolute time instead of now.  A daemon
+        process only marks its *kick-off* event as daemon; any events the
+        generator itself schedules choose their own flag (a pure-daemon
+        loop yields ``timeout(..., daemon=True)``).
         """
-        return Process(self, gen, daemon=daemon)
+        return Process(self, gen, daemon=daemon, at=at)
 
     def all_of(self, events: Iterable[Event]) -> "AllOf":
         """An event that fires once every listed event has fired."""
@@ -224,13 +228,15 @@ class Process(Event):
 
     __slots__ = ("_gen",)
 
-    def __init__(self, sim: Simulator, gen: Generator, daemon: bool = False):
+    def __init__(
+        self, sim: Simulator, gen: Generator, daemon: bool = False, at: float | None = None
+    ):
         super().__init__(sim)
         self._gen = gen
-        # Kick off via a zero-delay event so process start respects time order.
+        # Kick off via a heap event so process start respects time order.
         start = Event(sim)
-        start.wait(self._step)
-        sim.schedule(start, 0.0, daemon=daemon)
+        start.callbacks.append(self._step)
+        sim.schedule(start, daemon=daemon, at=at)
 
     def _step(self, fired: Event) -> None:
         try:
@@ -283,6 +289,23 @@ class AllOf(Event):
             self.succeed()
 
 
+class _Grant:
+    """A queued :meth:`FIFOResource.use_ev` hold: ``release()`` schedules
+    it at zero delay like an ``acquire()`` event, and when it pops it
+    starts the hold.  It is an untriggered :class:`Event` only as far as
+    the run loop looks."""
+
+    __slots__ = ("resource", "done", "duration", "queued_at")
+    triggered = False
+    value = None
+
+    def __init__(self, res: "FIFOResource", done: Event, duration: float, queued_at: float):
+        self.resource, self.done, self.duration, self.queued_at = res, done, duration, queued_at
+
+    def succeed(self, _value=None) -> None:
+        self.resource._hold(self.done, self.duration, self.resource.sim.now - self.queued_at)
+
+
 class FIFOResource:
     """A FIFO queue with ``capacity`` servers — the building block for
     disks/NICs/CPUs (all single-server) and the recovery scheduler's
@@ -305,14 +328,9 @@ class FIFOResource:
         self.metric_key = name.rstrip("0123456789") or name
         self.capacity = capacity
         self._in_service = 0
-        self._waiting: deque[Event] = deque()
+        self._waiting: deque[Event | _Grant] = deque()
         self.busy_time = 0.0
         self.served = 0
-
-    @property
-    def _busy(self) -> bool:
-        """True when no server is free (back-compat view of the old flag)."""
-        return self._in_service >= self.capacity
 
     @property
     def queue_depth(self) -> int:
@@ -344,52 +362,32 @@ class FIFOResource:
     def use_ev(self, duration: float) -> Event:
         """Event that fires once an acquire → hold → release cycle is done.
 
-        This is the flattened form of :meth:`use`: the acquire/hold chain
-        runs through event callbacks instead of a generator frame, which
-        removes one to two frame resumptions per resource hold on the
-        simulator's hottest path.  Timing, accounting, FIFO order and the
-        release-before-continuation ordering are identical to :meth:`use`.
+        The returned event *is* the completion; its first callback
+        releases, so release precedes the caller's continuation.  A busy
+        server queues a :class:`_Grant`; every heap entry keeps the key and
+        sequence number an acquire event + hold timeout would get.
         """
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        sim = self.sim
-        if self._in_service < self.capacity and not METRICS.enabled:
-            # Uncontended fast path: claim a server now and wait only for
-            # the hold itself.  ``acquire`` would bump ``_in_service`` at
-            # this exact moment anyway and deliver the grant through a
-            # zero-delay heap event; completion lands at the identical
-            # timestamp, so skipping the grant event removes ~a third of all
-            # heap traffic without moving any latency.  (The metered path
-            # keeps the grant event so queue-wait histograms still observe
-            # zeros.)
+        done = Event(self.sim)
+        done.callbacks.append(self._release_cb)
+        if self._in_service < self.capacity:
             self._in_service += 1
-            self.busy_time += duration
-            self.served += 1
-            done = sim.timeout(duration)
-            done.callbacks.append(self._release_cb)
-            return done
-        done = Event(sim)
-        queued_at = sim.now
-
-        def _finished(_ev: Event) -> None:
-            self.release()
-            done.succeed()
-
-        def _granted(_ev: Event) -> None:
-            self.busy_time += duration
-            self.served += 1
-            if METRICS.enabled:
-                key = self.metric_key
-                METRICS.histogram(f"sim.queue_wait.{key}", unit="s").observe(
-                    sim.now - queued_at
-                )
-                METRICS.counter(f"sim.busy_time.{key}", unit="s").inc(duration)
-                METRICS.counter(f"sim.served.{key}", unit="requests").inc()
-            hold = sim.timeout(duration)
-            hold.callbacks.append(_finished)
-
-        self.acquire().wait(_granted)
+            self._hold(done, duration, 0.0)
+        else:
+            self._waiting.append(_Grant(self, done, duration, self.sim.now))
         return done
+
+    def _hold(self, done: Event, duration: float, waited: float) -> None:
+        """Account one hold that starts now; ``done`` fires when it ends."""
+        self.busy_time += duration
+        self.served += 1
+        if METRICS.enabled:
+            key = self.metric_key
+            METRICS.histogram(f"sim.queue_wait.{key}", unit="s").observe(waited)
+            METRICS.counter(f"sim.busy_time.{key}", unit="s").inc(duration)
+            METRICS.counter(f"sim.served.{key}", unit="requests").inc()
+        self.sim.schedule(done, duration)
 
     def use(self, duration: float) -> Generator:
         """Generator helper: hold the resource for ``duration`` seconds."""

@@ -376,8 +376,12 @@ def run_serving(
                 f"server.latency.{arrival.op}", unit="s", buckets=SERVING_BUCKETS
             ).observe(latency)
 
-    def open_request(arrival: Arrival):
-        yield sim.timeout(arrival.time)
+    def open_request(i: int):
+        # Streamed arrivals: each one, starting at its intended time, puts
+        # the next on the heap — one pending arrival, one heap entry each.
+        arrival = arrivals[i]
+        if i + 1 < len(arrivals):
+            sim.process(open_request(i + 1), at=arrivals[i + 1].time)
         # Latency clock starts at the INTENDED arrival, before any queueing
         # for a connection — the coordinated-omission-free measurement.
         if pool is not None:
@@ -397,8 +401,8 @@ def run_serving(
             yield from perform(arrival, started_at=sim.now)
 
     if spec.mode == "open":
-        for arrival in arrivals:
-            sim.process(open_request(arrival))
+        if arrivals:
+            sim.process(open_request(0), at=arrivals[0].time)
     else:
         cursor = {"next": 0}
         for _ in range(min(spec.workers, len(arrivals))):

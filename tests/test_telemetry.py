@@ -1,11 +1,13 @@
 """Telemetry registry semantics, disabled-mode no-ops, and trace round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.chaos import ChaosConfig
 from repro.codes.rs import ReedSolomonCode
 from repro.fusion.costmodel import SystemProfile
 from repro.fusion.framework import ECFusion
@@ -22,6 +24,7 @@ from repro.telemetry import (
     render_metrics_table,
 )
 from repro.cluster import ClusterConfig, run_workload
+from repro.server import ServerConfig, WorkloadSpec, run_serving
 from repro.workloads import FailureEvent, OpType, Request, Trace
 
 GAMMA = 1024.0 * 1024
@@ -180,6 +183,62 @@ class TestSimulationMetrics:
 
     def test_render_table_empty_registry(self):
         assert "no metrics recorded" in render_metrics_table()
+
+
+class TestTelemetryDoesNotPerturb:
+    """Metrics observe the simulation; switching them on moves no event."""
+
+    @staticmethod
+    def metered_and_not(run):
+        results = []
+        for metered in (False, True):
+            telemetry.disable()
+            telemetry.reset()
+            if metered:
+                telemetry.enable()
+            results.append(run())
+        assert len(METRICS) > 0  # the metered run really recorded
+        return results
+
+    @pytest.mark.parametrize("profile", [None, "partitions"])
+    def test_run_serving(self, profile):
+        spec = WorkloadSpec(target_ops=300.0, duration=3.0, read_fraction=0.9, seed=21)
+        config = ServerConfig(failure_rate=0.5)
+        chaos = ChaosConfig(profile=profile, seed=3) if profile else None
+
+        def run():
+            res = run_serving(spec, config, chaos)
+            return (
+                res.offered, res.completed, res.failed, res.sim_time,
+                res.get_latencies, res.put_latencies, res.degraded_latencies,
+                res.repair_latencies, res.stats, res.unrecoverable, res.chaos,
+            )
+
+        off, on = self.metered_and_not(run)
+        assert off[2 if profile else 1] > 0  # failures (chaos) / completions
+        assert on == off
+
+    def test_open_mode_campaign_with_failures(self):
+        requests = [
+            Request(
+                time=0.004 * i,
+                op=OpType.WRITE if i % 4 == 0 else OpType.READ,
+                stripe=i % 4,
+                block=i % 4,
+            )
+            for i in range(60)
+        ]
+        fails = [FailureEvent(time=0.02 * j, stripe=j % 4, block=1) for j in range(4)]
+        trace = Trace(name="t", requests=requests)
+
+        def run():
+            scheme, _trace, _fails, config = small_workload()  # planners are stateful
+            res = run_workload(scheme, trace, fails, config, mode="open")
+            return dataclasses.asdict(res)
+
+        off, on = self.metered_and_not(run)
+        assert len(off["recovery_latencies"]) == 4
+        assert on == off
 
 
 class TestTraceRoundTrip:
