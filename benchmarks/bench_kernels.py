@@ -132,7 +132,7 @@ def test_msr_repair_fused_vs_naive(save_result):
         t_fused = _best_of(lambda: code.repair(failed, shards))
         speedup = t_naive / t_fused
         mbps = block / t_fused / 1e6
-        backend = code._repair_fused[failed].backend_for(block // l)
+        backend = code._gathered_plan(failed).backend_for(block // l)
         rows.append([label, backend, t_naive * 1e6, t_fused * 1e6, speedup, mbps])
         entries.append(
             {
@@ -328,8 +328,8 @@ def test_conversion_vs_rs_encode(save_result):
     data = rng.integers(0, 256, (tr.k, block), dtype=np.uint8)
     coded = tr.rs.encode(data)
     parity = coded[tr.k :]
-    groups = tr.rs_to_msr(data, parity).groups
-    msr_parities = [np.ascontiguousarray(g[tr.r :]) for g in groups]
+    msr_parity = tr.rs_to_msr(data, parity).parity  # (q·r, L); data stays put
+    msr_parities = [msr_parity[i * tr.r : (i + 1) * tr.r] for i in range(tr.q)]
     assert np.array_equal(tr.msr_to_rs(msr_parities).parity, parity)
 
     t_encode = _best_of(lambda: tr.rs.encode(data))

@@ -596,7 +596,6 @@ def run_workload(
             yield sim.process(run_request(req))
 
     def open_app_request(req):
-        yield sim.timeout(req.time)
         yield sim.process(run_request(req))
 
     def execute_repair(stripe, block, conversions, main):
@@ -623,8 +622,6 @@ def run_workload(
     def recovery_job(event, trigger=None):
         if trigger is not None:
             yield trigger
-        else:
-            yield sim.timeout(event.time)
         failed_blocks.add((event.stripe, event.block))
         plans = scheme.plan_recovery(event.stripe, event.block)
         conversions, main = _split_plans(plans)
@@ -658,8 +655,6 @@ def run_workload(
     def node_storm(event, trigger=None):
         if trigger is not None:
             yield trigger
-        else:
-            yield sim.timeout(event.time)
         jobs = []
         for loss in chunk_losses_on(event.node):
             failed_blocks.add((loss.stripe, loss.block))
@@ -702,17 +697,19 @@ def run_workload(
         for j, event in enumerate(node_failures):
             sim.process(node_storm(event, trigger=storm_triggers[j]))
         fire_due_triggers()  # thresholds of 0 (e.g. empty trace) fire at once
-    else:
-        for req in requests:
-            sim.process(open_app_request(req))
-        for event in failures:
-            sim.process(recovery_job(event))
-        for event in node_failures:
-            sim.process(node_storm(event))
     if engine is not None:
         engine.attach()
         if checker is not None:
             checker.attach()
+    if mode == "open":
+        # each starts at its own timestamp: one heap entry apiece, keyed
+        # after everything the chaos engine and checker armed above
+        for req in requests:
+            sim.process(open_app_request(req), at=req.time)
+        for event in failures:
+            sim.process(recovery_job(event), at=event.time)
+        for event in node_failures:
+            sim.process(node_storm(event), at=event.time)
     sim.run()
 
     result.storage_overhead = scheme.storage_overhead()

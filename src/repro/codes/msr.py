@@ -287,13 +287,13 @@ class MSRCode(LinearVectorCode):
         and then folds the *entire* pipeline (uncouple → solve → coupling
         rebuild), which is GF-linear in the helper symbols, into a single
         ``(l × n·l)`` matrix by running the batched kernel on the identity
-        basis.  :meth:`repair` executes that one fused :class:`CodingPlan`.
+        basis.  :meth:`repair` executes that matrix's nonzero columns as
+        one fused :class:`CodingPlan` (:meth:`_gathered_plan`).
         """
         gf = GF.get(self._w)
         _, Minv = self._coupling_coeffs(self.gamma)
         self._repair_solvers: dict[int, tuple[list[int], list[int], np.ndarray]] = {}
         self._repair_programs: dict[int, _RepairProgram] = {}
-        self._repair_fused: dict[int, CodingPlan] = {}
         for f in range(self.n):
             x0, y0 = self._coords(f)
             same_col = [self._node(x, y0) for x in range(self.s) if x != x0]
@@ -351,9 +351,10 @@ class MSRCode(LinearVectorCode):
             )
 
         # Repair is linear over the helper symbols: feeding the batched
-        # kernel the identity basis yields its (l × n·l) matrix, whose
-        # compiled plan replaces the whole multi-stage pipeline with one
-        # fused application (columns of the failed node stay zero).
+        # kernel the identity basis yields its (l × n·l) matrix, which
+        # replaces the whole multi-stage pipeline with one fused
+        # application.  Only the helpers' repair-plane columns are nonzero;
+        # the plans over them are compiled on first use.
         l = self.subpacketization
         eye = np.eye(self.n * l, dtype=gf.dtype)
         self._repair_matrices: dict[int, np.ndarray] = {}
@@ -361,11 +362,8 @@ class MSRCode(LinearVectorCode):
             basis_view = {
                 i: eye[i * l : (i + 1) * l] for i in range(self.n) if i != f
             }
-            repair_matrix = self._repair_coupled_batched(f, basis_view)
-            # the raw matrix is kept: its per-helper column slices are the
-            # partial-combination kernels of the streamed/pipelined repair
-            self._repair_matrices[f] = repair_matrix
-            self._repair_fused[f] = CodingPlan(repair_matrix, w=self._w)
+            self._repair_matrices[f] = self._repair_coupled_batched(f, basis_view)
+        self._gathered_plans: dict[int, CodingPlan] = {}
         self._helper_plans: dict[tuple[int, int], CodingPlan] = {}
 
     def repair_planes(self, failed: int) -> list[int]:
@@ -486,30 +484,64 @@ class MSRCode(LinearVectorCode):
             failed_block[prog.dst_planes] = c_f
         return failed_block
 
+    def _gathered_plan(self, failed: int) -> CodingPlan:
+        """The fused ``(l × n·l)`` repair matrix restricted to its nonzero
+        columns — the ``l/s`` repair planes of each of the ``n − 1``
+        helpers, helper-major as :meth:`_gather_repair_planes` stacks
+        them.  Compiled on first use."""
+        plan = self._gathered_plans.get(failed)
+        if plan is None:
+            l = self.subpacketization
+            planes = np.asarray(self.repair_planes(failed), dtype=np.intp)
+            cols = np.concatenate(
+                [i * l + planes for i in range(self.n) if i != failed]
+            )
+            plan = CodingPlan(self._repair_matrices[failed][:, cols], w=self._w)
+            self._gathered_plans[failed] = plan
+        return plan
+
+    def _gather_repair_planes(
+        self, failed: int, helpers: list[np.ndarray], out: np.ndarray
+    ) -> None:
+        """Copy each helper's repair planes into ``out``, helper-major.
+
+        ``helpers`` are the ``n − 1`` survivors' blocks in node order, each
+        C-contiguous of shape ``(..., L)`` or ``(..., l, sub)``; ``out`` is
+        C-contiguous ``(..., (n−1)·l/s, sub)``.  The repair planes
+        ``{z : z_{y0} = x0}`` are, for every higher digit, one run of
+        ``s^y0`` consecutive planes, so each helper is one strided copy.
+        """
+        x0, y0 = self._coords(failed)
+        lo = self.s**y0
+        hi = self.subpacketization // (self.s * lo)
+        *lead, _, sub = out.shape
+        dst = out.reshape(*lead, len(helpers), hi, lo * sub)
+        for pos, block in enumerate(helpers):
+            src = block.reshape(*lead, hi, self.s, lo * sub)
+            np.copyto(dst[..., pos, :, :], src[..., x0, :])
+
     def _repair_coupled_fused(self, failed: int, view: dict[int, np.ndarray]) -> np.ndarray:
         """Single-plan repair kernel: one fused matrix application.
 
-        Executes the precompiled ``(l × n·l)`` repair matrix (the batched
-        pipeline folded over the identity basis) — byte-identical to
+        Gathers exactly the ``l/s`` repair planes of each helper and applies
+        :meth:`_gathered_plan` — byte-identical to
         :meth:`_repair_coupled_naive` and :meth:`_repair_coupled_batched`.
         """
-        gf = GF.get(self._w)
-        l = self.subpacketization
-        sub = next(iter(view.values())).shape[1]
-        S = np.zeros((self.n * l, sub), dtype=gf.dtype)
-        for i, v in view.items():
-            S[i * l : (i + 1) * l] = v
-        return self._repair_fused[failed].apply(S)
+        helpers = [view[i] for i in range(self.n) if i != failed]
+        P = self.subpacketization // self.s
+        S = np.empty(((self.n - 1) * P, helpers[0].shape[1]), dtype=self._gf.dtype)
+        self._gather_repair_planes(failed, helpers, S)
+        return self._gathered_plan(failed).apply(S)
 
     def repair(self, failed: int, shards: Mapping[int, np.ndarray]) -> RepairResult:
         """Bandwidth-optimal single-node repair.
 
         Requires all ``n − 1`` helpers; with fewer survivors it falls back
         to a full MDS decode (reading ``k`` whole blocks).  The repair
-        executes one precompiled fused plan covering every ``l/s`` plane;
-        the plane-looped reference kernel is kept as
-        :meth:`_repair_coupled_naive` and the staged vectorized kernel as
-        :meth:`_repair_coupled_batched`.
+        gathers the ``l/s`` repair planes of every helper and executes
+        one fused plan over them; the plane-looped reference kernel is
+        kept as :meth:`_repair_coupled_naive` and the staged vectorized
+        kernel as :meth:`_repair_coupled_batched`.
         """
         shards = self._check_shards(shards)
         if failed in shards:
@@ -523,28 +555,26 @@ class MSRCode(LinearVectorCode):
         if L % l:
             raise ValueError(f"block length {L} not a multiple of l={l}")
         sub = L // l
-        planes = self.repair_planes(failed)
-        known_nodes = self._repair_solvers[failed][1]
-
         view = {i: shards[i].reshape(l, sub) for i in helpers}
         failed_block = self._repair_coupled_fused(failed, view)
-
-        bytes_read = {i: len(planes) * sub for i in helpers}
+        P = l // self.s  # repair planes read from each helper
         if METRICS.enabled:
-            METRICS.counter("codes.msr.repair_calls", unit="calls").inc()
-            # estimated MAC volume per repaired plane: uncouple the n-r known
-            # symbols (2 muls each), the r x (n-r) rhs matmul, the r x r solve,
-            # and ~3 muls per coupling pair rebuilt
-            per_plane = (
-                2 * len(known_nodes)
-                + self.r * len(known_nodes)
-                + self.r * self.r
-                + 3 * (self.s - 1)
-            )
-            METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
-                len(planes) * sub * per_plane
-            )
-        return RepairResult(block=failed_block.reshape(L), bytes_read=bytes_read)
+            self._count_repairs(1, P * sub)
+        return RepairResult(
+            block=failed_block.reshape(L), bytes_read={i: P * sub for i in helpers}
+        )
+
+    def _count_repairs(self, calls: int, read: int) -> None:
+        """Telemetry of ``calls`` fused repairs reading ``read`` symbols per helper."""
+        known = self.n - self.s
+        # estimated MAC volume per repaired plane: uncouple the n-r known
+        # symbols (2 muls each), the r x (n-r) rhs matmul, the r x r solve,
+        # and ~3 muls per coupling pair rebuilt
+        per_plane = 2 * known + self.r * known + self.r * self.r + 3 * (self.s - 1)
+        METRICS.counter("codes.msr.repair_calls", unit="calls").inc(calls)
+        METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
+            calls * read * per_plane
+        )
 
     def repair_batch(
         self, failed: int, shards: Mapping[int, np.ndarray]
@@ -552,11 +582,11 @@ class MSRCode(LinearVectorCode):
         """Repair the same failed node across a batch of stripes at once.
 
         ``shards`` maps each surviving node to a ``(batch, L)`` stack.
-        With all ``n − 1`` helpers present the fused ``(l × n·l)`` repair
-        plan is batch-applied in one dispatch; with fewer survivors each
-        stripe falls back to :meth:`repair` (full decode), exactly like
-        the scalar path.  Byte-identical (results and telemetry) to
-        calling :meth:`repair` stripe by stripe.
+        With all ``n − 1`` helpers present their repair planes are gathered
+        and the fused plan is batch-applied in one dispatch; with fewer
+        survivors each stripe falls back to :meth:`repair` (full decode),
+        exactly like the scalar path.  Byte-identical (results and
+        telemetry) to calling :meth:`repair` stripe by stripe.
         """
         if not 0 <= failed < self.n:
             raise ValueError(f"failed node {failed} out of range for n={self.n}")
@@ -586,29 +616,15 @@ class MSRCode(LinearVectorCode):
         if L % l:
             raise ValueError(f"block length {L} not a multiple of l={l}")
         sub = L // l
-        planes = self.repair_planes(failed)
-        known_nodes = self._repair_solvers[failed][1]
-
-        S = np.zeros((batch, self.n * l, sub), dtype=gf.dtype)
-        for i in helpers:
-            S[:, i * l : (i + 1) * l] = arrs[i].reshape(batch, l, sub)
-        blocks = self._repair_fused[failed].apply_batch(S)
-
+        P = l // self.s
+        S = np.empty((batch, len(helpers) * P, sub), dtype=gf.dtype)
+        self._gather_repair_planes(failed, [arrs[i] for i in sorted(helpers)], S)
+        blocks = self._gathered_plan(failed).apply_batch(S)
         if METRICS.enabled and batch:
-            METRICS.counter("codes.msr.repair_calls", unit="calls").inc(batch)
-            per_plane = (
-                2 * len(known_nodes)
-                + self.r * len(known_nodes)
-                + self.r * self.r
-                + 3 * (self.s - 1)
-            )
-            METRICS.counter("codes.msr.gf_mul_bytes", unit="bytes").inc(
-                batch * len(planes) * sub * per_plane
-            )
+            self._count_repairs(batch, P * sub)
         return [
             RepairResult(
-                block=blocks[b].reshape(L),
-                bytes_read={i: len(planes) * sub for i in helpers},
+                block=blocks[b].reshape(L), bytes_read={i: P * sub for i in helpers}
             )
             for b in range(batch)
         ]

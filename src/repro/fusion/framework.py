@@ -23,22 +23,39 @@ from ..telemetry import METRICS
 from .adaptation import AdaptiveSelector, CodeKind, Conversion
 from .costmodel import CostModel, SystemProfile
 from .queues import CachePolicy
-from .transform import FusionTransformer, TransformCost
+from .transform import FusionTransformer, TransformCost, msr_groups
 
 __all__ = ["StripeStore", "RecoveryReport", "ECFusion"]
 
 
 @dataclass
 class StripeStore:
-    """Physical representation of one stripe.
+    """Physical representation of one stripe: its data and current parity.
 
-    ``kind == RS``: ``rs_blocks`` holds the (k+r, L) codeword.
-    ``kind == MSR``: ``msr_groups`` holds q arrays of shape (2r, L).
+    ``data`` holds the (k, L) data blocks, which no conversion moves.
+    ``parity`` is the (r, L) RS parity when ``kind == RS`` and the q MSR
+    groups' parities, (q·r, L) group-major, when ``kind == MSR``.
+    ``rs_blocks`` ((k+r, L) codeword) and ``msr_groups`` (q arrays of
+    shape (2r, L)) assemble copies of the stripe in the current code on
+    read, ``None`` in the other code.
     """
 
     kind: CodeKind
-    rs_blocks: np.ndarray | None = None
-    msr_groups: list[np.ndarray] | None = None
+    data: np.ndarray
+    parity: np.ndarray
+    r: int
+
+    @property
+    def rs_blocks(self) -> np.ndarray | None:
+        if self.kind is not CodeKind.RS:
+            return None
+        return np.concatenate([self.data, self.parity])
+
+    @property
+    def msr_groups(self) -> list[np.ndarray] | None:
+        if self.kind is not CodeKind.MSR:
+            return None
+        return msr_groups(self.data, self.parity, self.r)
 
 
 @dataclass
@@ -103,9 +120,20 @@ class ECFusion:
             raise KeyError(f"unknown stripe {stripe!r}")
         return store
 
-    def _group_of(self, block: int) -> tuple[int, int]:
-        """Data block index -> (MSR group, node-within-group)."""
-        return block // self.r, block % self.r
+    def _nodes(self, store: StripeStore, group: int) -> list[np.ndarray]:
+        """The node blocks of the code serving a stripe, as views in node order.
+
+        RS: the k data then the r parity rows.  MSR: group ``group``'s r
+        data rows (zero blocks for the virtual nodes padding the last
+        group when r ∤ k), then its r parities.
+        """
+        if store.kind is CodeKind.RS:
+            return [*store.data, *store.parity]
+        span = slice(group * self.r, (group + 1) * self.r)
+        rows = [*store.data[span]]
+        if len(rows) < self.r:
+            rows += [np.zeros(store.data.shape[1], np.uint8)] * (self.r - len(rows))
+        return rows + [*store.parity[span]]
 
     # -- application path -------------------------------------------------------
     def write(self, stripe: Hashable, data: np.ndarray) -> list[Conversion]:
@@ -130,10 +158,12 @@ class ECFusion:
         self._apply_conversions([c for c in conversions if c.stripe != stripe])
         kind = self.selector.code_of(stripe)
         if kind is CodeKind.RS:
-            self._stripes[stripe] = StripeStore(kind=kind, rs_blocks=self.rs.encode(data))
+            coded = self.rs.encode(data)  # the store's own copy of the data
+            data, parity = coded[: self.k], coded[self.k :]
         else:
-            groups = list(self.transformer._encode_msr(data))
-            self._stripes[stripe] = StripeStore(kind=kind, msr_groups=groups)
+            data = data.copy()
+            parity = self.transformer.msr_parity(data)
+        self._stripes[stripe] = StripeStore(kind, data, parity, self.r)
         return conversions
 
     def read(self, stripe: Hashable, block: int) -> np.ndarray:
@@ -144,18 +174,11 @@ class ECFusion:
         if METRICS.enabled:
             METRICS.counter("fusion.store.reads", unit="blocks").inc()
         self._apply_conversions(self.selector.on_read(stripe))
-        if store.kind is CodeKind.RS:
-            return store.rs_blocks[block]
-        g, j = self._group_of(block)
-        return store.msr_groups[g][j]
+        return store.data[block]
 
     def read_stripe(self, stripe: Hashable) -> np.ndarray:
         """All k data blocks of a stripe, shape (k, L)."""
-        store = self._locate(stripe)
-        if store.kind is CodeKind.RS:
-            return store.rs_blocks[: self.k]
-        blocks = [store.msr_groups[b // self.r][b % self.r] for b in range(self.k)]
-        return np.stack(blocks)
+        return self._locate(stripe).data
 
     # -- recovery path -------------------------------------------------------------
     def recover(self, stripe: Hashable, block: int) -> RecoveryReport:
@@ -166,37 +189,7 @@ class ECFusion:
         rule that recovery-prone blocks should already sit in the
         repair-friendly code for subsequent failures.
         """
-        if not 0 <= block < self.k:
-            raise ValueError(f"data block index {block} out of range")
-        conversions = self.selector.on_recovery(stripe)
-        self._apply_conversions(conversions)
-        store = self._locate(stripe)
-
-        if store.kind is CodeKind.RS:
-            shards = {
-                i: store.rs_blocks[i] for i in range(self.rs.n) if i != block
-            }
-            res = self.rs.repair(block, shards)
-            store.rs_blocks[block] = res.block
-        else:
-            g, j = self._group_of(block)
-            grp = store.msr_groups[g]
-            shards = {i: grp[i] for i in range(self.msr.n) if i != j}
-            res = self.msr.repair(j, shards)
-            grp[j] = res.block
-        self.repair_bytes_read += res.total_bytes_read
-        if METRICS.enabled:
-            METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
-            METRICS.counter("fusion.store.repair_bytes_read", unit="bytes").inc(
-                res.total_bytes_read
-            )
-        return RecoveryReport(
-            stripe=stripe,
-            block=block,
-            code=store.kind,
-            bytes_read=res.total_bytes_read,
-            conversions=conversions,
-        )
+        return self._rebuild(stripe, block, parity=False)
 
     def recover_streamed(
         self, stripe: Hashable, block: int, chunk_size: int = 1 << 16
@@ -213,37 +206,7 @@ class ECFusion:
         accumulator), and byte-identical to :meth:`recover` for every
         chunk size (GF sums commute).
         """
-        if not 0 <= block < self.k:
-            raise ValueError(f"data block index {block} out of range")
-        conversions = self.selector.on_recovery(stripe)
-        self._apply_conversions(conversions)
-        store = self._locate(stripe)
-
-        if store.kind is CodeKind.RS:
-            shards = {
-                i: store.rs_blocks[i] for i in range(self.rs.n) if i != block
-            }
-            res = self.rs.repair_streamed(block, shards, chunk_size=chunk_size)
-            store.rs_blocks[block] = res.block
-        else:
-            g, j = self._group_of(block)
-            grp = store.msr_groups[g]
-            shards = {i: grp[i] for i in range(self.msr.n) if i != j}
-            res = self.msr.repair_streamed(j, shards, chunk_size=chunk_size)
-            grp[j] = res.block
-        self.repair_bytes_read += res.total_bytes_read
-        if METRICS.enabled:
-            METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
-            METRICS.counter("fusion.store.repair_bytes_read", unit="bytes").inc(
-                res.total_bytes_read
-            )
-        return RecoveryReport(
-            stripe=stripe,
-            block=block,
-            code=store.kind,
-            bytes_read=res.total_bytes_read,
-            conversions=conversions,
-        )
+        return self._rebuild(stripe, block, parity=False, chunk_size=chunk_size)
 
     def recover_parity(self, stripe: Hashable, index: int) -> RecoveryReport:
         """Reconstruct one lost parity block.
@@ -253,31 +216,41 @@ class ECFusion:
         Parity loss counts as a recovery event for Algorithm 1 exactly
         like data loss — the stripe is evidently failure-prone.
         """
+        return self._rebuild(stripe, index, parity=True)
+
+    def _rebuild(
+        self, stripe: Hashable, row: int, parity: bool, chunk_size: int | None = None
+    ) -> RecoveryReport:
+        """Repair data row ``row`` (or parity row, if ``parity``) in place."""
+        if not parity and not 0 <= row < self.k:
+            raise ValueError(f"data block index {row} out of range")
         conversions = self.selector.on_recovery(stripe)
         self._apply_conversions(conversions)
         store = self._locate(stripe)
-
+        if parity and not 0 <= row < store.parity.shape[0]:
+            raise ValueError(f"{store.kind.name}-mode parity index {row} out of range")
         if store.kind is CodeKind.RS:
-            if not 0 <= index < self.r:
-                raise ValueError(f"RS-mode parity index {index} out of range")
-            node = self.k + index
-            shards = {i: store.rs_blocks[i] for i in range(self.rs.n) if i != node}
-            res = self.rs.repair(node, shards)
-            store.rs_blocks[node] = res.block
+            code, group, node = self.rs, 0, row + self.k * parity
         else:
-            q = self.transformer.q
-            if not 0 <= index < q * self.r:
-                raise ValueError(f"MSR-mode parity index {index} out of range")
-            g, x = divmod(index, self.r)
-            grp = store.msr_groups[g]
-            node = self.msr.k + x
-            shards = {i: grp[i] for i in range(self.msr.n) if i != node}
-            res = self.msr.repair(node, shards)
-            grp[node] = res.block
+            code = self.msr
+            group, node = divmod(row, self.r)
+            node += self.msr.k * parity
+        nodes = self._nodes(store, group)
+        shards = {i: b for i, b in enumerate(nodes) if i != node}
+        if chunk_size is None:
+            res = code.repair(node, shards)
+        else:
+            res = code.repair_streamed(node, shards, chunk_size=chunk_size)
+        nodes[node][...] = res.block
         self.repair_bytes_read += res.total_bytes_read
+        if METRICS.enabled and not parity:
+            METRICS.counter("fusion.store.recoveries", unit="blocks").inc()
+            METRICS.counter("fusion.store.repair_bytes_read", unit="bytes").inc(
+                res.total_bytes_read
+            )
         return RecoveryReport(
             stripe=stripe,
-            block=self.k + index,
+            block=row + self.k * parity,
             code=store.kind,
             bytes_read=res.total_bytes_read,
             conversions=conversions,
@@ -300,26 +273,17 @@ class ECFusion:
         self.transform_cost.blocks_written += cost.blocks_written
         self.transform_cost.gf_ops += cost.gf_ops
 
+    # Both directions replace only the stripe's parity; its data stays put.
     def _to_msr(self, store: StripeStore) -> None:
-        data = store.rs_blocks[: self.k]
-        parity = store.rs_blocks[self.k :]
-        result = self.transformer.rs_to_msr(data, parity)
+        result = self.transformer.rs_to_msr(store.data, store.parity)
         self._accumulate(result.cost)
-        store.kind = CodeKind.MSR
-        store.msr_groups = result.groups
-        store.rs_blocks = None
+        store.kind, store.parity = CodeKind.MSR, result.parity
 
     def _to_rs(self, store: StripeStore) -> None:
-        parities = [g[self.r :] for g in store.msr_groups]
-        result = self.transformer.msr_to_rs(parities)
+        groups = store.parity.reshape(self.transformer.q, self.r, -1)
+        result = self.transformer.msr_to_rs(list(groups))
         self._accumulate(result.cost)
-        blocks = np.empty((self.k + self.r, result.parity.shape[1]), dtype=np.uint8)
-        for b in range(self.k):
-            blocks[b] = store.msr_groups[b // self.r][b % self.r]
-        blocks[self.k :] = result.parity
-        store.kind = CodeKind.RS
-        store.rs_blocks = blocks
-        store.msr_groups = None
+        store.kind, store.parity = CodeKind.RS, result.parity
 
     # -- lifecycle ---------------------------------------------------------------------
     def delete(self, stripe: Hashable) -> None:
@@ -346,16 +310,15 @@ class ECFusion:
 
     # -- reporting ---------------------------------------------------------------------
     def storage_overhead(self) -> float:
-        """Current average ρ = stored blocks / data blocks across stripes."""
+        """Current average ρ = stored blocks / data blocks across stripes.
+
+        An MSR stripe stores k + q·r blocks: the virtual nodes padding its
+        last group (r ∤ k) are never stored.
+        """
         if not self._stripes:
             return (self.k + self.r) / self.k
-        total = 0.0
-        for store in self._stripes.values():
-            if store.kind is CodeKind.RS:
-                total += (self.k + self.r) / self.k
-            else:
-                total += sum(g.shape[0] for g in store.msr_groups) / self.k
-        return total / len(self._stripes)
+        total = sum(self.k + store.parity.shape[0] for store in self._stripes.values())
+        return total / self.k / len(self._stripes)
 
     def stats(self) -> dict[str, float]:
         """Selector counters plus transformation/repair traffic."""

@@ -60,6 +60,7 @@ __all__ = [
     "RsToMsrResult",
     "MsrToRsResult",
     "FusionTransformer",
+    "msr_groups",
     "CodedStripe",
     "ConversionResult",
     "MultiCodeConverter",
@@ -108,12 +109,35 @@ class TransformCost:
         return self.data_blocks_read + self.parity_blocks_read
 
 
+def msr_groups(data: np.ndarray, parity: np.ndarray, r: int) -> list[np.ndarray]:
+    """Copies of the q MSR(2r, r) stripes of (k, L) data and its (q·r, L)
+    MSR parity; virtual nodes padding the last group (r ∤ k) are zero."""
+    q, L = parity.shape[0] // r, parity.shape[1]
+    out = np.zeros((q, 2 * r, L), dtype=np.uint8)
+    for i in range(q):
+        rows = data[i * r : (i + 1) * r]
+        out[i, : len(rows)] = rows
+        out[i, r:] = parity[i * r : (i + 1) * r]
+    return list(out)
+
+
 @dataclass
 class RsToMsrResult:
-    """Output of an RS→MSR conversion: one MSR stripe per data group."""
+    """Output of an RS→MSR conversion: the q groups' MSR parities.
 
-    groups: list[np.ndarray]  # q arrays of shape (2r, L): data + MSR parity
+    The data blocks stay where they are: ``parity`` is (q·r, L) with
+    group i's MSR parities at rows ``i·r..(i+1)·r``; ``groups`` assembles
+    each group's (2r, L) MSR stripe from ``data`` on read.
+    """
+
+    data: np.ndarray  # (k, L), the converted stripe's data (not copied)
+    parity: np.ndarray  # (q·r, L)
+    r: int
     cost: TransformCost = field(default_factory=TransformCost)
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        return msr_groups(self.data, self.parity, self.r)
 
 
 @dataclass
@@ -141,7 +165,7 @@ class FusionTransformer:
     >>> data = np.arange(4 * 16, dtype=np.uint8).reshape(4, 16)
     >>> coded = tr.rs.encode(data)
     >>> out = tr.rs_to_msr(data, coded[4:])
-    >>> back = tr.msr_to_rs([g[2:] for g in out.groups])
+    >>> back = tr.msr_to_rs([out.parity[:2], out.parity[2:]])
     >>> bool(np.array_equal(back.parity, coded[4:]))
     True
     """
@@ -184,16 +208,22 @@ class FusionTransformer:
         # to merge groups, and eq. (3) solved for one unread group j —
         # d_j = B_j⁻¹·p ⊕ Σ_{i≠j} B_j⁻¹B_i·d_i.  Since Trans2_i·(B_i ⊗ I) =
         # Enc and (B_i⁻¹ ⊗ I)·Trans1_i = Enc⁻¹, every output is
-        # byte-identical to applying eqs. (6)/(7) as written.
+        # byte-identical to applying eqs. (6)/(7) as written.  Data rows are
+        # read in place; a short last group (r ∤ k) drops its virtual columns.
         self._enc_plan = CodingPlan(enc, w=w)
+        tail = (k - (self.q - 1) * r) * l
+        self._enc_tail_plan = CodingPlan(enc[:, :tail], w=w) if self.padding else None
         self._dec_plan = CodingPlan(enc_inv, w=w)
         self._merge_plan = CodingPlan(p_full, w=w)
-        #: _derive_plans[j][i] is B_j⁻¹·B_i for i ≠ j and B_j⁻¹ (applied to
-        #: the RS parities) for i = j
+        #: _derive_plans[j][i] is B_j⁻¹·B_i (over group i's real columns)
+        #: for i ≠ j and B_j⁻¹ (applied to the RS parities) for i = j
+        real_blocks = [
+            self.rs.parity_matrix[:, i * r : (i + 1) * r] for i in range(self.q)
+        ]
         self._derive_plans = [
             [
                 CodingPlan(binv if i == j else matmul(binv, b, w=w), w=w)
-                for i, b in enumerate(self.group_blocks)
+                for i, b in enumerate(real_blocks)
             ]
             for j, binv in enumerate(self._group_blocks_inv)
         ]
@@ -219,11 +249,9 @@ class FusionTransformer:
             data = np.concatenate([data, pad], axis=0)
         return [data[i * self.r : (i + 1) * self.r] for i in range(self.q)]
 
-    def _copy_group(self, data: np.ndarray, i: int, dst: np.ndarray) -> None:
-        """Copy data group i into the (r, L) ``dst``, zero-padding virtual nodes."""
-        rows = data[i * self.r : (i + 1) * self.r]
-        dst[: len(rows)] = rows
-        dst[len(rows) :] = 0
+    def _group(self, rows: np.ndarray, i: int) -> np.ndarray:
+        """Group i's rows of a (k, L) data or (q·r, L) MSR parity array, as a view."""
+        return rows[i * self.r : (i + 1) * self.r]
 
     def _syms(self, blocks: np.ndarray) -> np.ndarray:
         l = self.subpacketization
@@ -234,30 +262,24 @@ class FusionTransformer:
         total, sub = syms.shape
         return syms.reshape(rows, (total // rows) * sub)
 
-    def _group_stripes(self, data: np.ndarray) -> np.ndarray:
-        """A (q, 2r, L) MSR stripe array with every group's data rows filled.
+    def _encode_group(self, d_i: np.ndarray, out: np.ndarray) -> None:
+        """A group's MSR parities ``Enc·d_i`` into the (r, L) ``out``.
 
-        The parity rows are left for :meth:`_encode_group` to write.
+        ``d_i`` has r rows, or fewer for the last group's real nodes when
+        r ∤ k (Enc without the virtual nodes' columns).
         """
-        out = np.empty((self.q, 2 * self.r, data.shape[1]), dtype=np.uint8)
-        for i in range(self.q):
-            self._copy_group(data, i, out[i, : self.r])
-        return out
+        plan = self._enc_plan if len(d_i) == self.r else self._enc_tail_plan
+        plan.apply_into(self._syms(d_i), self._syms(out))
 
-    def _encode_group(self, out: np.ndarray, i: int, data: np.ndarray | None = None) -> None:
-        """Group i's MSR parities ``Enc·d_i`` into ``out[i, r:]``.
+    def msr_parity(self, data: np.ndarray) -> np.ndarray:
+        """Encode (k, L) data into its q groups' MSR parities, (q·r, L).
 
-        ``d_i`` is the group's own data rows in ``out`` unless ``data``
-        gives it.
+        Group i's parities land at rows ``i·r..(i+1)·r``; the data rows
+        are read in place.
         """
-        src = out[i, : self.r] if data is None else data
-        self._enc_plan.apply_into(self._syms(src), self._syms(out[i, self.r :]))
-
-    def _encode_msr(self, data: np.ndarray) -> np.ndarray:
-        """Encode (k, L) data straight into q MSR(2r, r) stripes, (q, 2r, L)."""
-        out = self._group_stripes(data)
+        out = np.empty((self.q * self.r, data.shape[1]), dtype=np.uint8)
         for i in range(self.q):
-            self._encode_group(out, i)
+            self._encode_group(self._group(data, i), self._group(out, i))
         return out
 
     # ---------------------------------------------------------------- eq. (3)
@@ -279,7 +301,8 @@ class FusionTransformer:
 
         Reads the first q−1 data groups and the r RS parities; the last
         group's intermediary parity comes from eq. (3) without reading its
-        data, and every group's MSR parities from Trans2 (eq. (7)).
+        data, and every group's MSR parities from Trans2 (eq. (7)).  Only
+        the (q·r, L) MSR parity is written; the data rows stay in place.
 
         ``fault_hook(phase, group)`` is called before each source read
         (``("parity", -1)`` for the RS parity set, ``("data", i)`` for
@@ -340,11 +363,10 @@ class FusionTransformer:
                 f"(parity_ok={parity_ok}, missing groups {sorted(set(missing))})"
             )
 
-        # The unread group's data rows are materialised from the caller's
-        # copy (in the real system those blocks stay where they are).
-        out = self._group_stripes(data)
+        # Only parity is written: every data block stays where it is.
+        out = np.empty((self.q * self.r, L), dtype=np.uint8)
         for i in needed:
-            self._encode_group(out, i)
+            self._encode_group(self._group(data, i), self._group(out, i))
             cost.data_blocks_read += self.r
             cost.gf_ops += self.r * self.r * L
         if derived is not None:
@@ -352,8 +374,8 @@ class FusionTransformer:
             plans = self._derive_plans[derived]
             d_j = plans[derived].apply(rs_parity)
             for i in needed:
-                plans[i].apply_into(out[i, : self.r], d_j, accumulate=True)
-            self._encode_group(out, derived, d_j)
+                plans[i].apply_into(self._group(data, i), d_j, accumulate=True)
+            self._encode_group(d_j, self._group(out, derived))
         for i in range(self.q):
             cost.gf_ops += self.trans2[i].size * (L / self.subpacketization)
             cost.blocks_written += self.r
@@ -365,7 +387,7 @@ class FusionTransformer:
             METRICS.counter("fusion.transform.rs_to_msr", unit="conversions").inc()
             METRICS.counter("fusion.transform.gf_ops", unit="gf-ops").inc(cost.gf_ops)
             METRICS.counter("fusion.transform.bytes_saved", unit="bytes").inc(saved)
-        return RsToMsrResult(groups=list(out), cost=cost)
+        return RsToMsrResult(data=data, parity=out, r=self.r, cost=cost)
 
     def msr_to_rs(
         self,
@@ -417,8 +439,10 @@ class FusionTransformer:
                 cost.parity_blocks_read += self.r
                 cost.gf_ops += self.trans1[i].size * (L / self.subpacketization)
             elif data is not None and self._read_source(fault_hook, "data", i):
-                # failover: the group's own data blocks
-                self._copy_group(data, i, d_i)
+                # failover: the group's own data blocks, virtual nodes zero
+                rows = self._group(data, i)
+                d_i[: len(rows)] = rows
+                d_i[len(rows) :] = 0
                 cost.data_blocks_read += self.r
                 cost.gf_ops += self.r * self.r * L
             else:
@@ -448,7 +472,7 @@ class FusionTransformer:
         for g in fwd.groups:
             if not np.array_equal(self.msr.encode(g[: self.r]), g):
                 return False
-        back = self.msr_to_rs([g[self.r :] for g in fwd.groups])
+        back = self.msr_to_rs([self._group(fwd.parity, i) for i in range(self.q)])
         return np.array_equal(back.parity, coded[self.k :])
 
 
@@ -554,8 +578,7 @@ class MultiCodeConverter:
         if code == "rs":
             return self.rs.encode(data)[self.k :]
         if code == "msr":
-            stripes = self.tr._encode_msr(data)
-            return stripes[:, self.r :].reshape(self.q * self.r, data.shape[1])
+            return self.tr.msr_parity(data)
         if code == "lrc":
             return self.lrc.encode(data)[self.k :]
         if code == "fr":
@@ -596,14 +619,11 @@ class MultiCodeConverter:
         source = stripe.code
         if (source, target) == ("rs", "msr"):
             res = self.tr._rs_to_msr(stripe.data, stripe.parity, fault_hook)
-            parity = np.concatenate([g[self.r :] for g in res.groups], axis=0)
             return ConversionResult(
-                stripe=CodedStripe("msr", stripe.data, parity), cost=res.cost
+                stripe=CodedStripe("msr", stripe.data, res.parity), cost=res.cost
             )
         if (source, target) == ("msr", "rs"):
-            groups = [
-                stripe.parity[i * self.r : (i + 1) * self.r] for i in range(self.q)
-            ]
+            groups = [self.tr._group(stripe.parity, i) for i in range(self.q)]
             res = self.tr._msr_to_rs(groups, fault_hook, data=stripe.data)
             return ConversionResult(
                 stripe=CodedStripe("rs", stripe.data, res.parity), cost=res.cost
@@ -691,7 +711,7 @@ class MultiCodeConverter:
                 raise TransformAborted(
                     f"msr re-encode: group {g} data and parities both lost"
                 )
-            par = stripe.parity[g * r : (g + 1) * r]
+            par = self.tr._group(stripe.parity, g)
             grp = self.tr._blocks(self.tr._dec_plan.apply(self.tr._syms(par)), r)
             for row, node in enumerate(range(g * r, min((g + 1) * r, k))):
                 data[node] = grp[row]

@@ -152,6 +152,22 @@ class TestCostAgreement:
         planner.plan_recovery("a", 0)
         assert fusion.storage_overhead() == pytest.approx(planner.storage_overhead())
 
+    def test_storage_overhead_agrees_when_r_does_not_divide_k(self):
+        """(8, 3): the last MSR group's virtual node is not stored, so an
+        MSR stripe costs (k + q·r)/k = 17/8, not q·2r/k = 18/8."""
+        k, r = 8, 3
+        fusion = ECFusion(k=k, r=r, profile=PROFILE)
+        planner = ECFusionPlanner(k, r, PROFILE.gamma, profile=PROFILE)
+        rng = np.random.default_rng(5)
+        for s in ("a", "b", "c", "d"):
+            fusion.write(s, rng.integers(0, 256, (k, 9 * 2), dtype=np.uint8))
+            planner.plan_write(s)
+        fusion.recover("a", 0)
+        planner.plan_recovery("a", 0)
+        assert fusion.code_of("a") is CodeKind.MSR
+        assert planner.storage_overhead() == pytest.approx((3 * 11 + 17) / 32)
+        assert fusion.storage_overhead() == pytest.approx(planner.storage_overhead())
+
 
 class TestComputeAccountingCoherence:
     def test_transform_gf_ops_match_planner_formula(self):

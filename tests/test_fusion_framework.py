@@ -255,3 +255,157 @@ class TestParityRecovery:
         before = fusion.selector.queue2.total_hits
         fusion.recover_parity("s", 0)
         assert fusion.selector.queue2.total_hits == before + 1
+
+
+# -- property: the parity-only store against fresh encodes ------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.fusion import TransformCost  # noqa: E402
+
+_op = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 2), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("read"), st.integers(0, 2), st.integers(0, 63)),
+    st.tuples(st.just("recover"), st.integers(0, 2), st.integers(0, 63)),
+    st.tuples(st.just("recover_streamed"), st.integers(0, 2), st.integers(0, 63)),
+    st.tuples(st.just("recover_parity"), st.integers(0, 2), st.integers(0, 63)),
+)
+
+
+def _fresh_parity(fusion, data, kind):
+    """The stripe's parity re-encoded from its data in ``kind``."""
+    k, r = fusion.k, fusion.r
+    if kind is CodeKind.RS:
+        return fusion.rs.encode(data)[k:]
+    q = fusion.transformer.q
+    padded = np.zeros((q * r, data.shape[1]), np.uint8)
+    padded[:k] = data
+    return np.concatenate(
+        [fusion.msr.encode(padded[i * r : (i + 1) * r])[r:] for i in range(q)]
+    )
+
+
+def _conversion_cost(tr, L, target):
+    """One fault-free conversion's TransformCost (Fig. 12 accounting)."""
+    q, r, l = tr.q, tr.r, tr.subpacketization
+    if target is CodeKind.MSR:
+        return TransformCost(
+            data_blocks_read=(q - 1) * r,
+            parity_blocks_read=r,
+            blocks_written=q * r,
+            gf_ops=(q - 1) * r * r * L + sum(t.size for t in tr.trans2) * L / l,
+        )
+    return TransformCost(
+        parity_blocks_read=q * r,
+        blocks_written=r,
+        gf_ops=sum(t.size for t in tr.trans1) * L / l,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kr=st.sampled_from([(4, 2), (5, 2), (6, 3), (8, 3)]),
+    nsub=st.integers(1, 3),
+    capacity=st.integers(1, 3),
+    ops=st.lists(_op, min_size=1, max_size=25),
+)
+def test_prop_store_parity_matches_fresh_encode(kr, nsub, capacity, ops):
+    """After every operation each stripe's data reads back as written and
+    its parity equals a fresh encode in its current code; conversion and
+    repair accounting follow the closed forms.  Each repaired block is
+    trashed in the store just before its code's repair runs (after any
+    conversion), so the rebuilt bytes must really be written back."""
+    k, r = kr
+    fusion = ECFusion(k=k, r=r, queue_capacity=capacity)
+    tr = fusion.transformer
+    L = tr.subpacketization * nsub
+    contents: dict[int, np.ndarray] = {}
+    cost = TransformCost()
+    repair_bytes = 0
+    lost = {}  # the (stripe, "data"/"parity", row) the running op repairs
+
+    def losing(repair):
+        def wrapped(node, shards, **kwargs):
+            stripe, where, row = lost["at"]
+            getattr(fusion._stripes[stripe], where)[row] ^= 0x5A
+            return repair(node, shards, **kwargs)
+
+        return wrapped
+
+    for code in (fusion.rs, fusion.msr):
+        code.repair = losing(code.repair)
+        code.repair_streamed = losing(code.repair_streamed)
+
+    for op, stripe, arg in ops:
+        if op != "write" and stripe not in contents:
+            continue
+        before = {s: fusion.code_of(s) for s in contents}
+        if op == "write":
+            data = np.random.default_rng(arg).integers(0, 256, (k, L), dtype=np.uint8)
+            fusion.write(stripe, data)
+            contents[stripe] = data.copy()
+            before.pop(stripe, None)  # a rewrite is encoded, not converted
+        elif op == "read":
+            assert np.array_equal(fusion.read(stripe, arg % k), contents[stripe][arg % k])
+        else:
+            lost["at"] = (stripe, "data", arg % k)
+            if op == "recover":
+                rep = fusion.recover(stripe, arg % k)
+            elif op == "recover_streamed":
+                rep = fusion.recover_streamed(stripe, arg % k, chunk_size=1 + arg)
+            else:
+                index = arg % (tr.q * r)
+                lost["at"] = (stripe, "parity", index)
+                try:
+                    rep = fusion.recover_parity(stripe, index)
+                except ValueError:
+                    assert fusion.code_of(stripe) is CodeKind.RS and index >= r
+                    rep = None
+            if rep is not None:
+                assert rep.code is fusion.code_of(stripe)
+                want = k * L if rep.code is CodeKind.RS else (2 * r - 1) * L // r
+                assert rep.bytes_read == want
+                repair_bytes += want
+        for s, kind in before.items():
+            now = fusion.code_of(s)
+            if now is not kind:
+                c = _conversion_cost(tr, L, now)
+                cost.data_blocks_read += c.data_blocks_read
+                cost.parity_blocks_read += c.parity_blocks_read
+                cost.blocks_written += c.blocks_written
+                cost.gf_ops += c.gf_ops
+        for s, data in contents.items():
+            store = fusion._stripes[s]
+            assert np.array_equal(fusion.read_stripe(s), data)
+            assert np.array_equal(store.parity, _fresh_parity(fusion, data, store.kind))
+        got = fusion.transform_cost
+        assert (got.data_blocks_read, got.parity_blocks_read, got.blocks_written) == (
+            cost.data_blocks_read,
+            cost.parity_blocks_read,
+            cost.blocks_written,
+        )
+        assert got.gf_ops == pytest.approx(cost.gf_ops)
+        assert fusion.repair_bytes_read == repair_bytes
+
+
+@pytest.mark.parametrize("kr", [(4, 2), (5, 2), (8, 3)])
+def test_msr_write_encodes_parity_in_place(kr):
+    """A write while the stripe's flag is MSR encodes the q groups'
+    parities straight from the data rows; with r ∤ k the short last group
+    uses Enc without the virtual node's columns — equal to encoding its
+    zero-padded copy."""
+    k, r = kr
+    fusion = ECFusion(k=k, r=r)
+    L = fusion.transformer.subpacketization * 3
+    rng = np.random.default_rng(k * 10 + r)
+    fusion.write("s", make_data(rng, k=k, L=L))
+    for b in range(k):
+        fusion.recover("s", b)  # δ falls far below η -> MSR
+    data = make_data(rng, k=k, L=L)
+    fusion.write("s", data)
+    store = fusion._stripes["s"]
+    assert store.kind is CodeKind.MSR
+    assert np.array_equal(store.data, data)
+    assert np.array_equal(store.parity, _fresh_parity(fusion, data, CodeKind.MSR))
+    assert fusion.transform_cost.blocks_read == (fusion.transformer.q - 1) * r + r
